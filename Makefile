@@ -2,10 +2,16 @@
 
 GOBIN ?= $(shell go env GOPATH)/bin
 
-.PHONY: build test race lint nslint vet-nslint fuzz-smoke alloc-budget chaos-overload delivery-fanout
+.PHONY: build fmt-check test race lint nslint vet-nslint fuzz-smoke alloc-budget chaos-overload delivery-fanout bench
 
 build:
 	go build ./...
+
+# Fails, listing the files, when any Go file is not gofmt-clean (mirrors
+# the gofmt step of the build-test CI job).
+fmt-check:
+	@unformatted=$$(gofmt -l .); \
+	if [ -n "$$unformatted" ]; then echo "gofmt needed on:"; echo "$$unformatted"; exit 1; fi
 
 test:
 	go test ./...
@@ -48,6 +54,7 @@ vet-nslint:
 fuzz-smoke:
 	go test -tags fuzz -run xxx -fuzz FuzzContainerRoundTrip -fuzztime 30s ./internal/hybrid
 	go test -tags fuzz -run xxx -fuzz FuzzWireFrame -fuzztime 30s ./internal/wire
+	go test -tags fuzz -run xxx -fuzz FuzzParseMatchesDecode -fuzztime 30s ./internal/vcodec
 
 # Serving-path allocation gate: allocs/op on BenchmarkServerChunk versus
 # the checked-in bench_budget.json, failing on a >10% regression.
@@ -67,3 +74,10 @@ delivery-fanout:
 	go test -race -timeout 10m -run 'TestEdgeSingleFlight|TestEdgeSubscribeFanout|TestEdgeUpstreamChaos' ./internal/edge
 	go test -timeout 10m -run 'TestRunFanout' ./internal/driver
 	go test -run xxx -bench 'BenchmarkEdgeFanout' -benchtime 1x -timeout 15m ./internal/driver
+
+# The open-loop serving benchmark (perfbench/, declared in BENCHMARK.json).
+# Arguments pass through, e.g.
+#   make bench ARGS="--workload live --seed 1 --seconds 10 --trace 1"
+# Its own tests: (cd perfbench && go test ./...).
+bench:
+	bash perfbench/run.sh $(ARGS)

@@ -182,11 +182,11 @@ const nominalGPUSecondsPerBuild = 0.040
 // (enhancer pool calls x the nominal per-build cost).
 func BenchmarkEdgeFanout(b *testing.B) {
 	const (
-		streams         = 64
-		viewersPer      = 64
-		chunksPer       = 2
-		cachedBudget    = int64(4096) // ~1 fetch per viewer
-		passBudget      = int64(192)  // every delivery is a fresh build; keep wall time sane
+		streams      = 64
+		viewersPer   = 64
+		chunksPer    = 2
+		cachedBudget = int64(4096) // ~1 fetch per viewer
+		passBudget   = int64(192)  // every delivery is a fresh build; keep wall time sane
 	)
 	catalog := make([]uint32, streams)
 	for i := range catalog {

@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -34,6 +35,31 @@ func quietf(string, ...any) {}
 type testOrigin struct {
 	srv  *media.Server
 	pool *media.EnhancerPool
+	// hold, when set, runs ahead of every anchor enhancement, so a test
+	// can keep an origin build in flight.
+	hold atomic.Pointer[func()]
+}
+
+// heldEnhancer is the origin's local enhancer behind testOrigin.hold.
+type heldEnhancer struct {
+	*media.LocalEnhancer
+	o *testOrigin
+}
+
+func (h heldEnhancer) wait() {
+	if hold := h.o.hold.Load(); hold != nil {
+		(*hold)()
+	}
+}
+
+func (h heldEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
+	h.wait()
+	return h.LocalEnhancer.Enhance(streamID, job)
+}
+
+func (h heldEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]media.AnchorOutcome, error) {
+	h.wait()
+	return h.LocalEnhancer.EnhanceBatch(streamID, jobs)
 }
 
 // startOrigin boots an origin holding chunksPer chunks for each of the
@@ -52,8 +78,9 @@ func startOrigin(t testing.TB, lazy bool, streams []uint32, chunksPer int) *test
 	if err != nil {
 		t.Fatal(err)
 	}
+	origin := &testOrigin{}
 	pool, err := media.NewEnhancerPool(
-		[]media.Replica{media.StaticReplica("solo", local)},
+		[]media.Replica{media.StaticReplica("solo", heldEnhancer{LocalEnhancer: local, o: origin})},
 		media.PoolConfig{Logf: quietf},
 	)
 	if err != nil {
@@ -107,7 +134,8 @@ func startOrigin(t testing.TB, lazy bool, streams []uint32, chunksPer int) *test
 			t.Fatal(err)
 		}
 	}
-	return &testOrigin{srv: srv, pool: pool}
+	origin.srv, origin.pool = srv, pool
+	return origin
 }
 
 func startEdge(t testing.TB, origin *testOrigin, cfg Config) *Edge {
@@ -135,6 +163,17 @@ func TestEdgeSingleFlight(t *testing.T) {
 		t.Fatalf("lazy origin enhanced %d anchors at ingest, want 0", got)
 	}
 	e := startEdge(t, origin, Config{})
+	// Hold the build until the other viewers have joined its flight, so
+	// the counts below measure coalescing rather than goroutine
+	// scheduling. An edge that does not coalesce never reaches the
+	// count; the hold then gives up and the assertions fail.
+	hold := func() {
+		giveUp := time.Now().Add(10 * time.Second)
+		for e.Counters().CoalescedWaits < viewers-1 && time.Now().Before(giveUp) {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	origin.hold.Store(&hold)
 
 	clients := make([]*Client, viewers)
 	for i := range clients {

@@ -186,9 +186,10 @@ type serverCounters struct {
 // StageStats snapshots the pipeline's per-stage latency accounting (total
 // time spent in each stage across all chunks, plus how many times each
 // stage ran, so per-stage averages are derivable from one snapshot) and
-// the current anchor in-flight gauge. enhance_wait is the time the
-// package stage stalled on outstanding enhancements — the overlap target:
-// it shrinks as decode of later chunks hides behind it.
+// the current anchor in-flight gauge. decode is the parse of every packet
+// plus reconstruction up to the chunk's last anchor. enhance_wait is the
+// time the package stage stalled on outstanding enhancements — the
+// overlap target: it shrinks as decode of later chunks hides behind it.
 type StageStats struct {
 	Chunks             uint64  `json:"chunks"`
 	DecodeCount        uint64  `json:"decode_count"`
@@ -286,10 +287,10 @@ type serverStream struct {
 	// bucket rate-limits chunk admission for this stream; nil when
 	// StreamChunkRate is unset.
 	bucket *tokenBucket
-	// decodeMu pins decoder use to one stage at a time: the decoder is
-	// stateful (reference frames), so packets of a stream must decode
-	// sequentially even if a stream ever spans connections; decoder is
-	// guarded by decodeMu.
+	// decodeMu pins decoder use to one chunk build at a time: the decoder
+	// is stateful (reference frames), so packets of a stream must decode
+	// sequentially even if a stream ever spans connections or several of
+	// its lazy builds run at once; decoder is guarded by decodeMu.
 	decodeMu sync.Mutex
 	decoder  *vcodec.Decoder
 }
@@ -628,11 +629,11 @@ func (s *Server) admitChunk(job *ingestJob) {
 	}
 }
 
-// decodeStage is stage one for a chunk: look up the stream, decode its
-// packets on the stream's pinned decoder, run zero-inference anchor
-// selection, and dispatch the selected anchors into the concurrent
-// fan-out. Failures annotate the job; the package stage reports them in
-// order.
+// decodeStage is stage one for a chunk: look up the stream and run the
+// chunk builder (startChunk), which parses the packets, selects anchors,
+// reconstructs the frames they need, and dispatches them into the
+// concurrent fan-out. Failures annotate the job; the package stage
+// reports them in order.
 //
 // It is also where the overload ladder observes and acts: the chunk's
 // measured queue delay (admit → here) plus the dispatcher's in-flight
@@ -689,60 +690,30 @@ func (s *Server) decodeStage(job *ingestJob) {
 		job.err = err
 		return
 	}
-
-	start := time.Now()
-	decoded := make([]*vcodec.Decoded, len(packets))
-	infos := make([]vcodec.Info, len(packets))
-	st.decodeMu.Lock()
-	for i, pkt := range packets {
-		d, err := st.decoder.Decode(pkt)
-		if err != nil {
-			st.decodeMu.Unlock()
-			job.err = fmt.Errorf("media: stream %d packet %d: %w", msg.StreamID, i, err)
-			return
-		}
-		decoded[i] = d
-		infos[i] = d.Info
-	}
-	st.decodeMu.Unlock()
-	s.stages.decodeNanos.Add(int64(time.Since(start)))
-	s.stages.decodeCount.Add(1)
-
-	// Each container must be independently decodable by viewers joining
-	// mid-stream, so distribution chunks are GOP-aligned (as in HLS/DASH).
-	if infos[0].Type != vcodec.Key {
-		job.err = fmt.Errorf("media: stream %d chunk does not start with a key frame; send GOP-aligned chunks", msg.StreamID)
+	pc, err := s.startChunk(msg.StreamID, st, packetContainer(st, packets), job.deadline)
+	if err != nil {
+		job.err = err
 		return
 	}
+	job.pc = pc
+}
 
-	start = time.Now()
-	metas := anchor.MetasFromInfos(infos)
-	cands := anchor.ZeroInferenceGains(metas)
-	// The effective fraction is the configured base scaled by the
-	// brownout budget; with no budget (or scale 1.0) the base float64
-	// passes through untouched, so the idle controller is bit-invisible
-	// to selection.
-	frac := s.budget.Fraction(msg.StreamID, s.cfg.AnchorFraction)
-	n := int(frac*float64(len(packets)) + 0.5)
-	if n < 1 {
-		n = 1
+// startChunk is the origin's one chunk builder, shared by the eager
+// ingest path (decodeStage) and the lazy fetch-time build (buildChunk):
+// select the chunk's anchors on the stream's decoder, build their jobs,
+// and dispatch them.
+func (s *Server) startChunk(streamID uint32, st *serverStream, container *hybrid.Container, deadline time.Time) (*pendingChunk, error) {
+	frac := s.budget.Fraction(streamID, s.cfg.AnchorFraction)
+	st.decodeMu.Lock()
+	infos, selected, decoded, err := s.decodeAnchors(streamID, st.decoder, container.Frames, frac)
+	st.decodeMu.Unlock()
+	if err != nil {
+		return nil, err
 	}
-	selected := anchor.SelectTopN(cands, n)
+
 	s.counters.anchorsSelected.Add(uint64(len(selected)))
-	s.stages.selectNanos.Add(int64(time.Since(start)))
-	s.stages.selectCount.Add(1)
-
-	container := &hybrid.Container{
-		Config: st.hello.Config,
-		Scale:  st.hello.Scale,
-		Frames: make([]hybrid.ContainerFrame, len(packets)),
-	}
-	for i, pkt := range packets {
-		container.Frames[i] = hybrid.ContainerFrame{VideoPacket: pkt}
-	}
-
 	pc := &pendingChunk{
-		streamID:  msg.StreamID,
+		streamID:  streamID,
 		st:        st,
 		container: container,
 		selected:  selected,
@@ -753,14 +724,93 @@ func (s *Server) decodeStage(job *ingestJob) {
 		i := c.Meta.Packet
 		pc.jobs[si] = wire.AnchorJob{
 			Packet:       i,
-			DisplayIndex: decoded[i].Info.DisplayIndex,
+			DisplayIndex: infos[i].DisplayIndex,
 			QP:           st.qp,
 			Frame:        decoded[i].Frame,
-			Deadline:     job.deadline,
+			Deadline:     deadline,
 		}
 	}
 	s.dispatchAnchors(pc)
-	job.pc = pc
+	return pc, nil
+}
+
+// decodeAnchors picks a chunk's anchors from codec-level information and
+// reconstructs only the frames they need (DESIGN.md, "One chunk
+// builder"): decode packet 0 and Parse the rest, so every packet is
+// entropy-parsed and a corrupt one anywhere rejects the chunk; require a
+// key frame first; select; decode packets 1 through the last anchor.
+// Decoding packet 0 first gives each Parse the reference state a
+// packet-by-packet Decode would see, and GOP alignment leaves the decoder
+// valid for whatever chunk comes next. decoded is nil past the last
+// anchor. The caller holds the stream's decodeMu.
+func (s *Server) decodeAnchors(streamID uint32, dec *vcodec.Decoder, frames []hybrid.ContainerFrame, frac float64) (infos []vcodec.Info, selected []anchor.Candidate, decoded []*vcodec.Decoded, err error) {
+	if len(frames) == 0 {
+		return nil, nil, nil, fmt.Errorf("media: stream %d chunk has no packets", streamID)
+	}
+	start := time.Now()
+	decoded = make([]*vcodec.Decoded, len(frames))
+	infos = make([]vcodec.Info, len(frames))
+	for i := range frames {
+		if i == 0 {
+			if decoded[0], err = dec.Decode(frames[0].VideoPacket); err == nil {
+				infos[0] = decoded[0].Info
+			}
+		} else {
+			infos[i], err = dec.Parse(frames[i].VideoPacket)
+		}
+		if err != nil {
+			return nil, nil, nil, fmt.Errorf("media: stream %d packet %d: %w", streamID, i, err)
+		}
+	}
+	parseTime := time.Since(start)
+
+	// Each container must be independently decodable by viewers joining
+	// mid-stream, so distribution chunks are GOP-aligned (as in HLS/DASH).
+	if infos[0].Type != vcodec.Key {
+		return nil, nil, nil, fmt.Errorf("media: stream %d chunk does not start with a key frame; send GOP-aligned chunks", streamID)
+	}
+
+	start = time.Now()
+	metas := anchor.MetasFromInfos(infos)
+	cands := anchor.ZeroInferenceGains(metas)
+	// frac is the configured base scaled by the brownout budget; with no
+	// budget (or scale 1.0) the base float64 passes through untouched, so
+	// the idle controller is bit-invisible to selection.
+	n := int(frac*float64(len(frames)) + 0.5)
+	if n < 1 {
+		n = 1
+	}
+	selected = anchor.SelectTopN(cands, n)
+	s.stages.selectNanos.Add(int64(time.Since(start)))
+	s.stages.selectCount.Add(1)
+
+	last := 0
+	for _, c := range selected {
+		last = max(last, c.Meta.Packet)
+	}
+	start = time.Now()
+	for i := 1; i <= last; i++ {
+		if decoded[i], err = dec.Decode(frames[i].VideoPacket); err != nil {
+			return nil, nil, nil, fmt.Errorf("media: stream %d packet %d: %w", streamID, i, err)
+		}
+	}
+	s.stages.decodeNanos.Add(int64(parseTime + time.Since(start)))
+	s.stages.decodeCount.Add(1)
+	return infos, selected, decoded, nil
+}
+
+// packetContainer wraps a chunk's ingest packets in a container with no
+// anchors yet.
+func packetContainer(st *serverStream, packets [][]byte) *hybrid.Container {
+	container := &hybrid.Container{
+		Config: st.hello.Config,
+		Scale:  st.hello.Scale,
+		Frames: make([]hybrid.ContainerFrame, len(packets)),
+	}
+	for i, pkt := range packets {
+		container.Frames[i] = hybrid.ContainerFrame{VideoPacket: pkt}
+	}
+	return container
 }
 
 // floorChunk ships a chunk at the bilinear floor: the container carries
@@ -775,18 +825,10 @@ func (s *Server) floorChunk(job *ingestJob, st *serverStream) {
 		job.err = err
 		return
 	}
-	container := &hybrid.Container{
-		Config: st.hello.Config,
-		Scale:  st.hello.Scale,
-		Frames: make([]hybrid.ContainerFrame, len(packets)),
-	}
-	for i, pkt := range packets {
-		container.Frames[i] = hybrid.ContainerFrame{VideoPacket: pkt}
-	}
 	job.pc = &pendingChunk{
 		streamID:  job.msg.StreamID,
 		st:        st,
-		container: container,
+		container: packetContainer(st, packets),
 		floored:   true,
 	}
 }
@@ -970,7 +1012,6 @@ func (s *Server) registerStream(msg wire.Message) error {
 	if err != nil {
 		return err
 	}
-	dec.CaptureResidual = false // the server only needs codec info + frames
 	qp, err := hybrid.QPForFraction(s.cfg.AnchorFraction)
 	if err != nil {
 		return err
@@ -1198,12 +1239,12 @@ func (s *Server) buildEnhanced(streamID uint32, seq int, deadline time.Time) ([]
 	return c.data, c.degraded, c.err
 }
 
-// buildChunk runs one deferred enhancement build: decode the stored
-// packets-only container on a fresh decoder (bit-identical to the
-// ingest-time decode — chunks are GOP-aligned and key frames reset both
-// reference slots), select anchors with the same budgeted fraction,
-// dispatch through the same fan-out, and assemble. When retention is on
-// the finished container replaces the pending one.
+// buildChunk runs one deferred enhancement build: the stored
+// packets-only container goes through the same builder as the eager
+// path (startChunk) and is assembled. It decodes on the stream's decoder
+// like ingest does; GOP alignment makes the result independent of which
+// chunk that decoder saw last. When retention is on the finished
+// container replaces the pending one.
 func (s *Server) buildChunk(streamID uint32, seq int, deadline time.Time) ([]byte, bool, error) {
 	s.mu.Lock()
 	st := s.streams[streamID]
@@ -1224,60 +1265,10 @@ func (s *Server) buildChunk(streamID uint32, seq int, deadline time.Time) ([]byt
 		return nil, false, fmt.Errorf("media: stream %d chunk %d: %w", streamID, seq, err)
 	}
 
-	dec, err := vcodec.NewDecoder(st.hello.Config.Width, st.hello.Config.Height)
+	pc, err := s.startChunk(streamID, st, container, deadline)
 	if err != nil {
 		return nil, false, err
 	}
-	dec.CaptureResidual = false
-	start := time.Now()
-	decoded := make([]*vcodec.Decoded, len(container.Frames))
-	infos := make([]vcodec.Info, len(container.Frames))
-	for i := range container.Frames {
-		d, err := dec.Decode(container.Frames[i].VideoPacket)
-		if err != nil {
-			return nil, false, fmt.Errorf("media: stream %d packet %d: %w", streamID, i, err)
-		}
-		decoded[i] = d
-		infos[i] = d.Info
-	}
-	s.stages.decodeNanos.Add(int64(time.Since(start)))
-	s.stages.decodeCount.Add(1)
-	if infos[0].Type != vcodec.Key {
-		return nil, false, fmt.Errorf("media: stream %d chunk %d does not start with a key frame", streamID, seq)
-	}
-
-	start = time.Now()
-	metas := anchor.MetasFromInfos(infos)
-	cands := anchor.ZeroInferenceGains(metas)
-	frac := s.budget.Fraction(streamID, s.cfg.AnchorFraction)
-	n := int(frac*float64(len(container.Frames)) + 0.5)
-	if n < 1 {
-		n = 1
-	}
-	selected := anchor.SelectTopN(cands, n)
-	s.counters.anchorsSelected.Add(uint64(len(selected)))
-	s.stages.selectNanos.Add(int64(time.Since(start)))
-	s.stages.selectCount.Add(1)
-
-	pc := &pendingChunk{
-		streamID:  streamID,
-		st:        st,
-		container: container,
-		selected:  selected,
-		jobs:      make([]wire.AnchorJob, len(selected)),
-		outcomes:  make([]anchorOutcome, len(selected)),
-	}
-	for si, c := range selected {
-		i := c.Meta.Packet
-		pc.jobs[si] = wire.AnchorJob{
-			Packet:       i,
-			DisplayIndex: decoded[i].Info.DisplayIndex,
-			QP:           st.qp,
-			Frame:        decoded[i].Frame,
-			Deadline:     deadline,
-		}
-	}
-	s.dispatchAnchors(pc)
 	data, builtDegraded, err := s.assembleChunk(pc, deadline)
 	if err != nil {
 		return nil, false, err

@@ -57,36 +57,13 @@ func NewDecoderFor(s *Stream) (*Decoder, error) {
 // copies.
 func (d *Decoder) Decode(data []byte) (*Decoded, error) {
 	r := bitstream.NewReader(data)
-	typBits, err := r.ReadBits(2)
+	info, err := d.parsePrefix(r, len(data))
 	if err != nil {
-		return nil, fmt.Errorf("vcodec: truncated header: %w", err)
-	}
-	typ := FrameType(typBits)
-	if typ > Inter {
-		return nil, fmt.Errorf("vcodec: invalid frame type %d", typBits)
-	}
-	qBits, err := r.ReadBits(7)
-	if err != nil {
-		return nil, fmt.Errorf("vcodec: truncated header: %w", err)
-	}
-	quality := int(qBits)
-	if quality < 1 || quality > 100 {
-		return nil, fmt.Errorf("vcodec: corrupt quality %d", quality)
-	}
-	idx, err := r.ReadUE()
-	if err != nil {
-		return nil, fmt.Errorf("vcodec: truncated header: %w", err)
-	}
-	info := Info{
-		DisplayIndex: int(idx),
-		Type:         typ,
-		Visible:      typ != AltRef,
-		Bytes:        len(data),
-		Quality:      quality,
+		return nil, err
 	}
 
-	if typ == Key {
-		f, err := decodeIntraPlanes(r, d.w, d.h, quality)
+	if info.Type == Key {
+		f, err := decodeIntraPlanes(r, d.w, d.h, info.Quality)
 		if err != nil {
 			return nil, err
 		}
@@ -99,30 +76,8 @@ func (d *Decoder) Decode(data []byte) (*Decoded, error) {
 		return &Decoded{Frame: f.Clone(), Info: info}, nil
 	}
 
-	if d.last == nil {
-		return nil, errors.New("vcodec: inter frame before any key frame")
-	}
-	n := d.grid.NumBlocks()
-	mvs := make([]frame.MotionVector, n)
-	refs := make([]uint8, n)
-	for i := 0; i < n; i++ {
-		bit, err := r.ReadBit()
-		if err != nil {
-			return nil, fmt.Errorf("vcodec: truncated motion data: %w", err)
-		}
-		refs[i] = uint8(bit)
-		dx, err := r.ReadSE()
-		if err != nil {
-			return nil, fmt.Errorf("vcodec: truncated motion data: %w", err)
-		}
-		dy, err := r.ReadSE()
-		if err != nil {
-			return nil, fmt.Errorf("vcodec: truncated motion data: %w", err)
-		}
-		mvs[i] = frame.MotionVector{DX: int(dx), DY: int(dy)}
-	}
 	residualStart := r.BitsRead()
-	pred := predictFrame(d.last, d.altref, d.grid, mvs, refs)
+	pred := predictFrame(d.last, d.altref, d.grid, info.MVs, info.Refs)
 	var capture *frame.Frame
 	if d.CaptureResidual {
 		capture = frame.Borrow(d.w, d.h)
@@ -130,14 +85,12 @@ func (d *Decoder) Decode(data []byte) (*Decoded, error) {
 		capture.U.Fill(128)
 		capture.V.Fill(128)
 	}
-	if err := decodeResidualWithCapture(r, pred, quality, capture); err != nil {
+	if err := decodeResidualWithCapture(r, pred, info.Quality, capture); err != nil {
 		return nil, err
 	}
 	info.ResidualBytes = (r.BitsRead() - residualStart + 7) / 8
-	info.MVs = mvs
-	info.Refs = refs
 
-	switch typ {
+	switch info.Type {
 	case AltRef:
 		frame.Release(d.altref)
 		d.altref = pred
@@ -146,6 +99,126 @@ func (d *Decoder) Decode(data []byte) (*Decoded, error) {
 		d.last = pred
 	}
 	return &Decoded{Frame: pred.Clone(), Info: info, Residual: capture}, nil
+}
+
+// Parse returns the Info Decode would return for data, without
+// reconstructing it: it makes the same bit reads as Decode — header,
+// motion section, and every coefficient code — but skips dequantization,
+// the inverse transform, prediction, and the reference-slot update. Its
+// Info and its errors (text included) are exactly Decode's for the
+// decoder's current reference state, which Parse leaves untouched. This
+// is the codec-level information the anchor selector needs (§5.1), at
+// the cost of the entropy parse alone.
+func (d *Decoder) Parse(data []byte) (Info, error) {
+	r := bitstream.NewReader(data)
+	info, err := d.parsePrefix(r, len(data))
+	if err != nil {
+		return Info{}, err
+	}
+	if info.Type == Key {
+		if err := skipCoeffs(r, d.w, d.h, "intra"); err != nil {
+			return Info{}, err
+		}
+		return info, nil
+	}
+	residualStart := r.BitsRead()
+	if err := skipCoeffs(r, d.w, d.h, "residual"); err != nil {
+		return Info{}, err
+	}
+	info.ResidualBytes = (r.BitsRead() - residualStart + 7) / 8
+	return info, nil
+}
+
+// parsePrefix reads everything ahead of a packet's coefficient data: the
+// header and, for altref and inter frames, the motion section. The
+// reference check between the two reads the decoder's reference state,
+// which is the only state any parse error depends on.
+func (d *Decoder) parsePrefix(r *bitstream.Reader, size int) (Info, error) {
+	info, err := parseHeader(r, size)
+	if err != nil || info.Type == Key {
+		return info, err
+	}
+	if d.last == nil {
+		return Info{}, errors.New("vcodec: inter frame before any key frame")
+	}
+	info.MVs, info.Refs, err = parseMotion(r, d.grid.NumBlocks())
+	return info, err
+}
+
+// parseHeader reads the frame header every packet starts with: frame
+// type, quality, and display index. size is the packet's byte length.
+func parseHeader(r *bitstream.Reader, size int) (Info, error) {
+	typBits, err := r.ReadBits(2)
+	if err != nil {
+		return Info{}, fmt.Errorf("vcodec: truncated header: %w", err)
+	}
+	typ := FrameType(typBits)
+	if typ > Inter {
+		return Info{}, fmt.Errorf("vcodec: invalid frame type %d", typBits)
+	}
+	qBits, err := r.ReadBits(7)
+	if err != nil {
+		return Info{}, fmt.Errorf("vcodec: truncated header: %w", err)
+	}
+	quality := int(qBits)
+	if quality < 1 || quality > 100 {
+		return Info{}, fmt.Errorf("vcodec: corrupt quality %d", quality)
+	}
+	idx, err := r.ReadUE()
+	if err != nil {
+		return Info{}, fmt.Errorf("vcodec: truncated header: %w", err)
+	}
+	return Info{
+		DisplayIndex: int(idx),
+		Type:         typ,
+		Visible:      typ != AltRef,
+		Bytes:        size,
+		Quality:      quality,
+	}, nil
+}
+
+// parseMotion reads the motion section of an altref or inter packet: a
+// reference-slot bit and a motion vector for each of n blocks.
+func parseMotion(r *bitstream.Reader, n int) ([]frame.MotionVector, []uint8, error) {
+	mvs := make([]frame.MotionVector, n)
+	refs := make([]uint8, n)
+	for i := 0; i < n; i++ {
+		bit, err := r.ReadBit()
+		if err != nil {
+			return nil, nil, fmt.Errorf("vcodec: truncated motion data: %w", err)
+		}
+		refs[i] = uint8(bit)
+		dx, err := r.ReadSE()
+		if err != nil {
+			return nil, nil, fmt.Errorf("vcodec: truncated motion data: %w", err)
+		}
+		dy, err := r.ReadSE()
+		if err != nil {
+			return nil, nil, fmt.Errorf("vcodec: truncated motion data: %w", err)
+		}
+		mvs[i] = frame.MotionVector{DX: int(dx), DY: int(dy)}
+	}
+	return mvs, refs, nil
+}
+
+// skipCoeffs entropy-parses the coefficient blocks of a w×h frame's three
+// planes, in the order decodeIntraPlanes and decodeResidualWithCapture
+// read them, and discards them. kind names the block in errors ("intra"
+// or "residual"), so a failure reads exactly as the reconstructing
+// decoder's does.
+func skipCoeffs(r *bitstream.Reader, w, h int, kind string) error {
+	var scan [64]int32
+	cw, ch := (w+1)/2, (h+1)/2
+	for _, p := range [3]frame.Plane{{W: w, H: h}, {W: cw, H: ch}, {W: cw, H: ch}} {
+		nbx, _, n := planeBlocks(&p)
+		for i := 0; i < n; i++ {
+			if err := bitstream.ReadCoeffs(r, scan[:]); err != nil {
+				bx, by := (i%nbx)*transform.BlockSize, (i/nbx)*transform.BlockSize
+				return fmt.Errorf("vcodec: %s block (%d,%d): %w", kind, bx, by, err)
+			}
+		}
+	}
+	return nil
 }
 
 // DecodeStream decodes every packet of a stream in order.
@@ -368,13 +441,14 @@ func addBlock(b *transform.Block, p *frame.Plane, bx, by int) {
 // packet we just produced and return its reconstruction.
 func decodeIntraFromPacket(data []byte, w, h int) *frame.Frame {
 	r := bitstream.NewReader(data)
-	_, _ = r.ReadBits(2)
-	q, _ := r.ReadBits(7)
-	_, _ = r.ReadUE()
-	f, err := decodeIntraPlanes(r, w, h, int(q))
+	info, err := parseHeader(r, len(data))
 	if err != nil {
 		// The encoder parsing its own output cannot fail; treat it as a
 		// programming error.
+		panic(fmt.Sprintf("vcodec: closed-loop intra decode: %v", err))
+	}
+	f, err := decodeIntraPlanes(r, w, h, info.Quality)
+	if err != nil {
 		panic(fmt.Sprintf("vcodec: closed-loop intra decode: %v", err))
 	}
 	return f
@@ -385,14 +459,14 @@ func decodeIntraFromPacket(data []byte, w, h int) *frame.Frame {
 // pred.
 func applyResidualFromPacket(data []byte, pred *frame.Frame, grid frame.BlockGrid, quality int) {
 	r := bitstream.NewReader(data)
-	_, _ = r.ReadBits(2 + 7)
-	_, _ = r.ReadUE()
-	for i := 0; i < grid.NumBlocks(); i++ {
-		_, _ = r.ReadBit()
-		_, _ = r.ReadSE()
-		_, _ = r.ReadSE()
+	_, err := parseHeader(r, len(data))
+	if err == nil {
+		_, _, err = parseMotion(r, grid.NumBlocks())
 	}
-	if err := decodeResidualInto(r, pred, quality); err != nil {
+	if err == nil {
+		err = decodeResidualInto(r, pred, quality)
+	}
+	if err != nil {
 		panic(fmt.Sprintf("vcodec: closed-loop residual decode: %v", err))
 	}
 }
