@@ -52,11 +52,6 @@ func (h heldEnhancer) wait() {
 	}
 }
 
-func (h heldEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
-	h.wait()
-	return h.LocalEnhancer.Enhance(streamID, job)
-}
-
 func (h heldEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]media.AnchorOutcome, error) {
 	h.wait()
 	return h.LocalEnhancer.EnhanceBatch(streamID, jobs)

@@ -7,10 +7,12 @@ import (
 	"github.com/neuroscaler/neuroscaler/internal/wire"
 )
 
-// Enhancer mirrors media.AnchorEnhancer without importing it, so a
-// FlakyEnhancer satisfies the media interface structurally.
+// Enhancer mirrors media.AnchorEnhancer without importing it, so the
+// fault tiers satisfy the media interface structurally: one method, one
+// outcome per job in job order, a job's own failure in its outcome and
+// a batch-level error only for a failure voiding the whole dispatch.
 type Enhancer interface {
-	Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error)
+	EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]wire.AnchorOutcome, error)
 }
 
 // FlakyEnhancer injects faults in front of an enhancer replica. Corrupt
@@ -24,49 +26,47 @@ type FlakyEnhancer struct {
 	Gate *Gate
 }
 
-// Enhance implements the enhancer interface with faults applied.
-func (f *FlakyEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
-	if f.Gate != nil && f.Gate.Dead() {
-		return wire.AnchorResult{}, fmt.Errorf("faults: enhance stream %d: %w", streamID, ErrKilled)
-	}
-	switch f.Inj.Next() {
-	case Error:
-		return wire.AnchorResult{}, fmt.Errorf("faults: enhance stream %d: %w", streamID, ErrInjected)
-	case Drop:
-		return wire.AnchorResult{}, fmt.Errorf("faults: enhancer connection dropped: %w", ErrInjected)
-	case Stall:
-		time.Sleep(f.Inj.StallFor())
-	case Corrupt:
-		res, err := f.Inner.Enhance(streamID, job)
-		if err != nil {
-			return res, err
-		}
-		if len(res.Encoded) > 3 {
-			res.Encoded = res.Encoded[:3]
-		}
-		return res, nil
-	}
-	return f.Inner.Enhance(streamID, job)
-}
-
 // EnhanceBatch applies faults per anchor: each batch member gets its own
 // injector draw, so a seeded fault mid-batch degrades only the anchors it
-// hits while the siblings return their real results. A dead gate fails
-// the whole batch like the dropped connection it models.
-func (f *FlakyEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]wire.AnchorBatchOutcome, error) {
+// hits (as outcome errors) while the siblings return their real results.
+// A dead gate fails the whole batch like the dropped connection it
+// models.
+func (f *FlakyEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]wire.AnchorOutcome, error) {
 	if f.Gate != nil && f.Gate.Dead() {
-		return nil, fmt.Errorf("faults: enhance batch stream %d: %w", streamID, ErrKilled)
+		return nil, fmt.Errorf("faults: enhance stream %d: %w", streamID, ErrKilled)
 	}
-	outs := make([]wire.AnchorBatchOutcome, len(jobs))
-	for i, job := range jobs {
-		res, err := f.Enhance(streamID, job)
-		if err != nil {
-			outs[i] = wire.AnchorBatchOutcome{Res: wire.AnchorResult{Packet: job.Packet}, Err: err.Error()}
+	outs := make([]wire.AnchorOutcome, len(jobs))
+	for i := range jobs {
+		fault := f.Inj.Next()
+		switch fault {
+		case Error:
+			outs[i].Err = fmt.Errorf("faults: enhance stream %d: %w", streamID, ErrInjected)
 			continue
+		case Drop:
+			outs[i].Err = fmt.Errorf("faults: enhancer connection dropped: %w", ErrInjected)
+			continue
+		case Stall:
+			time.Sleep(f.Inj.StallFor())
 		}
-		outs[i] = wire.AnchorBatchOutcome{Res: res}
+		outs[i] = enhanceOne(f.Inner, streamID, jobs[i:i+1])
+		if fault == Corrupt && len(outs[i].Res.Encoded) > 3 {
+			outs[i].Res.Encoded = outs[i].Res.Encoded[:3]
+		}
 	}
 	return outs, nil
+}
+
+// enhanceOne runs a one-job batch on e, folding a batch-level error into
+// the job's outcome.
+func enhanceOne(e Enhancer, streamID uint32, job []wire.AnchorJob) wire.AnchorOutcome {
+	outs, err := e.EnhanceBatch(streamID, job)
+	if err == nil && len(outs) != 1 {
+		err = fmt.Errorf("faults: inner enhancer returned %d outcomes for a batch of 1", len(outs))
+	}
+	if err != nil {
+		return wire.AnchorOutcome{Err: err}
+	}
+	return outs[0]
 }
 
 // Register forwards per-stream registration when the inner replica

@@ -8,8 +8,9 @@
 //   - the net.Conn boundary (Conn): connection drops, corrupted bytes,
 //     latency spikes, and plain I/O errors on the wire, upstream of the
 //     wire package's CRC framing;
-//   - the AnchorEnhancer boundary (FlakyEnhancer): error returns, stalls,
-//     and corrupted anchor payloads from an enhancer replica.
+//   - the AnchorEnhancer boundary (FlakyEnhancer): per-anchor outcome
+//     errors, stalls, and corrupted anchor payloads from an enhancer
+//     replica, one injector draw per batch member.
 //
 // A Gate is an explicit kill switch layered on either boundary; chaos
 // tests use it to take a replica down and bring it back at exact points

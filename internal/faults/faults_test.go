@@ -124,33 +124,37 @@ func TestGateKillsAndRevives(t *testing.T) {
 
 type stubEnhancer struct{ calls int }
 
-func (s *stubEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
-	s.calls++
-	return wire.AnchorResult{Packet: job.Packet, Encoded: []byte("0123456789")}, nil
+func (s *stubEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]wire.AnchorOutcome, error) {
+	outs := make([]wire.AnchorOutcome, len(jobs))
+	for i, job := range jobs {
+		s.calls++
+		outs[i].Res = wire.AnchorResult{Packet: job.Packet, Encoded: []byte("0123456789")}
+	}
+	return outs, nil
 }
 
 func TestFlakyEnhancerFaults(t *testing.T) {
 	inner := &stubEnhancer{}
 	gate := &Gate{}
 	fe := &FlakyEnhancer{Inner: inner, Inj: MustInjector(5, Config{ErrorRate: 1}), Gate: gate}
-	if _, err := fe.Enhance(1, wire.AnchorJob{}); !errors.Is(err, ErrInjected) {
-		t.Fatalf("err = %v, want ErrInjected", err)
+	if out := enhanceOne(fe, 1, []wire.AnchorJob{{}}); !errors.Is(out.Err, ErrInjected) {
+		t.Fatalf("err = %v, want ErrInjected", out.Err)
 	}
 	if inner.calls != 0 {
 		t.Error("inner called despite injected error")
 	}
 
 	fe = &FlakyEnhancer{Inner: inner, Inj: MustInjector(5, Config{CorruptRate: 1}), Gate: gate}
-	res, err := fe.Enhance(1, wire.AnchorJob{Packet: 4})
-	if err != nil {
-		t.Fatal(err)
+	out := enhanceOne(fe, 1, []wire.AnchorJob{{Packet: 4}})
+	if out.Err != nil {
+		t.Fatal(out.Err)
 	}
-	if len(res.Encoded) > 3 {
-		t.Errorf("corrupted anchor kept %d bytes", len(res.Encoded))
+	if len(out.Res.Encoded) > 3 {
+		t.Errorf("corrupted anchor kept %d bytes", len(out.Res.Encoded))
 	}
 
 	gate.Kill()
-	if _, err := fe.Enhance(1, wire.AnchorJob{}); !errors.Is(err, ErrKilled) {
+	if _, err := fe.EnhanceBatch(1, []wire.AnchorJob{{}}); !errors.Is(err, ErrKilled) {
 		t.Fatalf("gated enhance err = %v, want ErrKilled", err)
 	}
 	if err := fe.Ping(); !errors.Is(err, ErrKilled) {
@@ -161,7 +165,7 @@ func TestFlakyEnhancerFaults(t *testing.T) {
 		t.Fatalf("revived ping err = %v", err)
 	}
 	fe.Inj.SetEnabled(false)
-	if res, err := fe.Enhance(2, wire.AnchorJob{Packet: 9}); err != nil || res.Packet != 9 {
-		t.Fatalf("passthrough enhance = %+v, %v", res, err)
+	if out := enhanceOne(fe, 2, []wire.AnchorJob{{Packet: 9}}); out.Err != nil || out.Res.Packet != 9 {
+		t.Fatalf("passthrough enhance = %+v", out)
 	}
 }

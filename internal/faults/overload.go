@@ -35,18 +35,9 @@ func (s *SlowEnhancer) Calls() uint64 { return s.calls.Load() }
 
 func (s *SlowEnhancer) slow() bool { return s.Gate == nil || !s.Gate.Dead() }
 
-// Enhance serves one job after the configured delay.
-func (s *SlowEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
-	if s.slow() {
-		s.calls.Add(1)
-		time.Sleep(s.Delay)
-	}
-	return s.Inner.Enhance(streamID, job)
-}
-
 // EnhanceBatch serves a batch after the configured delay (scaled by the
 // batch size when PerJob is set).
-func (s *SlowEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]wire.AnchorBatchOutcome, error) {
+func (s *SlowEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]wire.AnchorOutcome, error) {
 	if s.slow() {
 		s.calls.Add(1)
 		d := s.Delay
@@ -55,16 +46,7 @@ func (s *SlowEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]w
 		}
 		time.Sleep(d)
 	}
-	outs := make([]wire.AnchorBatchOutcome, len(jobs))
-	for i, job := range jobs {
-		res, err := s.Inner.Enhance(streamID, job)
-		if err != nil {
-			outs[i] = wire.AnchorBatchOutcome{Res: wire.AnchorResult{Packet: job.Packet}, Err: err.Error()}
-			continue
-		}
-		outs[i] = wire.AnchorBatchOutcome{Res: res}
-	}
-	return outs, nil
+	return s.Inner.EnhanceBatch(streamID, jobs)
 }
 
 // Register forwards per-stream registration; it is never slowed (the

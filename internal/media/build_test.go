@@ -23,13 +23,6 @@ type recordingEnhancer struct {
 	jobs []wire.AnchorJob
 }
 
-func (r *recordingEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
-	r.mu.Lock()
-	r.jobs = append(r.jobs, job)
-	r.mu.Unlock()
-	return r.LocalEnhancer.Enhance(streamID, job)
-}
-
 func (r *recordingEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
 	r.mu.Lock()
 	r.jobs = append(r.jobs, jobs...)

@@ -51,28 +51,32 @@ func pickTimeout(configured, def time.Duration) time.Duration {
 	return configured
 }
 
-// AnchorEnhancer super-resolves and image-encodes one anchor frame. The
+// AnchorEnhancer super-resolves and image-encodes anchor frames, one
+// dispatch per batch (one wire round trip for a remote, one device
+// dispatch for a local engine); a single anchor is a batch of one. The
 // media server is configured with one (local, remote, or a pool).
+// EnhanceBatch returns one outcome per job, in job order: a job's own
+// failure is its outcome's error, and the error return is batch-level
+// (a transport or protocol failure voiding every outcome).
 type AnchorEnhancer interface {
-	Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error)
+	EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error)
 }
 
 // AnchorOutcome is one anchor's result within a batch: exactly one of
 // Res or Err is meaningful. Batch members fail independently.
-type AnchorOutcome struct {
-	Res wire.AnchorResult
-	Err error
-}
+type AnchorOutcome = wire.AnchorOutcome
 
-// BatchAnchorEnhancer is an AnchorEnhancer that can coalesce several
-// anchors into one dispatch (one wire round trip for a remote, one
-// device dispatch for a local engine). EnhanceBatch returns one outcome
-// per job, in job order; the error return is batch-level (transport or
-// protocol failure voiding every outcome). A batch of one must behave
-// exactly like Enhance.
-type BatchAnchorEnhancer interface {
-	AnchorEnhancer
-	EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error)
+// enhanceOne runs job on e as a batch of one, folding a batch-level
+// error into the job's own.
+func enhanceOne(e AnchorEnhancer, streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
+	outs, err := e.EnhanceBatch(streamID, []wire.AnchorJob{job})
+	if err == nil && len(outs) != 1 {
+		err = fmt.Errorf("media: enhancer returned %d outcomes for a batch of 1", len(outs))
+	}
+	if err != nil {
+		return wire.AnchorResult{}, err
+	}
+	return outs[0].Res, outs[0].Err
 }
 
 // registrar is implemented by enhancers needing per-stream registration.
@@ -119,10 +123,10 @@ func (e *LocalEnhancer) Register(streamID uint32, h wire.Hello) error {
 	return nil
 }
 
-// Enhance implements AnchorEnhancer. A job whose deadline has already
-// passed is skipped with ErrDeadlineExceeded before any inference runs:
-// enhancing a frame nobody can ship is pure waste under overload.
-func (e *LocalEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
+// enhance runs one job. A job whose deadline has already passed is
+// skipped with ErrDeadlineExceeded before any inference runs: enhancing
+// a frame nobody can ship is pure waste under overload.
+func (e *LocalEnhancer) enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
 	if expired(job.Deadline, time.Now()) {
 		return wire.AnchorResult{}, fmt.Errorf("media: enhance stream %d packet %d: %w", streamID, job.Packet, ErrDeadlineExceeded)
 	}
@@ -143,13 +147,13 @@ func (e *LocalEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.Ancho
 	return wire.AnchorResult{Packet: job.Packet, Encoded: data}, nil
 }
 
-// EnhanceBatch implements BatchAnchorEnhancer: jobs are processed as one
+// EnhanceBatch implements AnchorEnhancer: jobs are processed as one
 // dispatch with per-anchor error isolation, so one failing anchor never
 // poisons its batch siblings.
 func (e *LocalEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
 	outs := make([]AnchorOutcome, len(jobs))
 	for i, job := range jobs {
-		res, err := e.Enhance(streamID, job)
+		res, err := e.enhance(streamID, job)
 		outs[i] = AnchorOutcome{Res: res, Err: err}
 	}
 	return outs, nil
@@ -186,11 +190,11 @@ type EnhancerServerCounters struct {
 }
 
 // EnhancerServer exposes a LocalEnhancer over TCP using the wire
-// protocol: Hello registers the stream, AnchorJob frames are answered
-// with AnchorResult frames, Ping frames with Pong (heartbeats). Anchor
-// jobs on one connection are served concurrently (bounded by
-// MaxConcurrentJobs) and replies carry the request's Seq, so clients
-// must demultiplex by Seq rather than assuming FIFO replies.
+// protocol: Hello registers the stream, AnchorBatchJob frames are
+// answered with AnchorBatchResult frames, Ping frames with Pong
+// (heartbeats). Batches on one connection are served concurrently
+// (bounded by MaxConcurrentJobs) and replies carry the request's Seq, so
+// clients must demultiplex by Seq rather than assuming FIFO replies.
 type EnhancerServer struct {
 	enhancer *LocalEnhancer
 	ln       net.Listener
@@ -317,16 +321,17 @@ func (w *connWriter) writeError(msg wire.Message, cause error) error {
 
 // serveConn demultiplexes one client connection: hellos and pings are
 // answered inline (a hello must land before the jobs that rely on it),
-// anchor jobs land in a bounded earliest-deadline-first queue served by
-// MaxConcurrentJobs workers that reply with the job's Seq on
-// completion. A full queue sheds the job with a typed ErrShed reply,
+// anchor batches land in a bounded earliest-deadline-first queue served
+// by MaxConcurrentJobs workers that reply with the batch's Seq on
+// completion. A full queue sheds the batch with a typed ErrShed reply,
 // and workers drop entries whose deadline expired while queued with a
 // typed ErrDeadlineExceeded reply — replies are demultiplexed by Seq,
 // so out-of-order shed/expiry answers are harmless. Job-level failures
-// (unregistered stream, model error) answer TypeError and keep the
-// connection alive so other in-flight jobs are unaffected;
-// protocol-level failures (undecodable payloads, unexpected types) drop
-// the connection.
+// (unregistered stream, model error) ride back as per-anchor outcome
+// errors and keep the connection alive so other in-flight batches are
+// unaffected; protocol-level failures (undecodable payloads, unexpected
+// types, including the retired per-anchor frame types) drop the
+// connection.
 func (s *EnhancerServer) serveConn(conn net.Conn) error {
 	w := &connWriter{conn: conn, timeout: s.cfg.WriteTimeout}
 	queue := newJobQueue(s.cfg.JobQueueDepth)
@@ -367,21 +372,6 @@ func (s *EnhancerServer) serveConn(conn net.Conn) error {
 			if err := w.write(wire.Message{Type: wire.TypeAck, StreamID: msg.StreamID, Seq: msg.Seq}); err != nil {
 				return err
 			}
-		case wire.TypeAnchorJob:
-			job, err := wire.DecodeAnchorJob(msg.Payload)
-			if err != nil {
-				_ = w.writeError(msg, err)
-				return err
-			}
-			now := time.Now()
-			entry := &jobEntry{msg: msg, job: job, enqueued: now}
-			if msg.Budget > 0 {
-				// The wire budget is relative; re-derive the local deadline
-				// from arrival time so peer clock skew never leaks in.
-				entry.deadline = now.Add(msg.Budget)
-				entry.job.Deadline = entry.deadline
-			}
-			s.admit(queue, w, entry)
 		case wire.TypeAnchorBatchJob:
 			batch, err := wire.DecodeAnchorBatchJob(msg.Payload)
 			if err != nil {
@@ -394,6 +384,8 @@ func (s *EnhancerServer) serveConn(conn net.Conn) error {
 			now := time.Now()
 			entry := &jobEntry{msg: msg, batch: batch, enqueued: now}
 			if msg.Budget > 0 {
+				// The wire budget is relative; re-derive the local deadline
+				// from arrival time so peer clock skew never leaks in.
 				entry.deadline = now.Add(msg.Budget)
 				for i := range entry.batch {
 					entry.batch[i].Deadline = entry.deadline
@@ -445,33 +437,7 @@ func (s *EnhancerServer) jobWorker(queue *jobQueue, w *connWriter) {
 			}
 			continue
 		}
-		if e.batch != nil {
-			s.runBatch(w, e.msg, e.batch)
-		} else {
-			s.runJob(w, e.msg, e.job)
-		}
-	}
-}
-
-func (s *EnhancerServer) runJob(w *connWriter, msg wire.Message, job wire.AnchorJob) {
-	res, err := s.enhancer.Enhance(msg.StreamID, job)
-	if err != nil {
-		if errors.Is(err, ErrDeadlineExceeded) {
-			s.jobsExpired.Add(1)
-		}
-		if werr := w.writeError(msg, err); werr != nil {
-			s.cfg.Logf("media: enhancer reply: %v", werr)
-		}
-		return
-	}
-	reply := wire.Message{
-		Type:     wire.TypeAnchorResult,
-		StreamID: msg.StreamID,
-		Seq:      msg.Seq,
-		Payload:  wire.EncodeAnchorResult(res),
-	}
-	if err := w.write(reply); err != nil {
-		s.cfg.Logf("media: enhancer reply: %v", err)
+		s.runBatch(w, e.msg, e.batch)
 	}
 }
 
@@ -630,33 +596,20 @@ func (r *RemoteEnhancer) Register(streamID uint32, h wire.Hello) error {
 	return nil
 }
 
-// Enhance implements AnchorEnhancer. A job with a deadline ships its
-// remaining budget on the wire so the replica can queue and expire it
-// deadline-aware; an already-expired job fails locally without spending
-// a round trip (a near-zero budget would only trip the call timer and
-// tear down the shared connection).
+// Enhance is EnhanceBatch for a batch of one, folding the batch-level
+// and the outcome error into one. It is kept for callers holding a
+// single anchor (benchmark tracing); the serving path never calls it.
 func (r *RemoteEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
-	if expired(job.Deadline, time.Now()) {
-		return wire.AnchorResult{}, fmt.Errorf("media: enhance stream %d packet %d: %w", streamID, job.Packet, ErrDeadlineExceeded)
-	}
-	reply, err := r.call(wire.Message{
-		Type:     wire.TypeAnchorJob,
-		StreamID: streamID,
-		Payload:  wire.EncodeAnchorJob(job),
-		Budget:   jobBudget(job.Deadline, time.Now()),
-	})
-	if err != nil {
-		return wire.AnchorResult{}, err
-	}
-	if reply.Type != wire.TypeAnchorResult {
-		return wire.AnchorResult{}, fmt.Errorf("media: enhance: unexpected reply %v", reply.Type)
-	}
-	return wire.DecodeAnchorResult(reply.Payload)
+	return enhanceOne(r, streamID, job)
 }
 
-// EnhanceBatch implements BatchAnchorEnhancer with a single multiplexed
-// round trip: one TypeAnchorBatchJob frame out, one TypeAnchorBatchResult
-// frame back, per-anchor outcomes demultiplexed from the reply. Transport
+// EnhanceBatch implements AnchorEnhancer with a single multiplexed round
+// trip: one TypeAnchorBatchJob frame out, one TypeAnchorBatchResult
+// frame back, per-anchor outcomes demultiplexed from the reply. The
+// batch ships its earliest deadline as the wire budget so the replica
+// can queue and expire it deadline-aware; an already-expired batch fails
+// locally without spending a round trip (a near-zero budget would only
+// trip the call timer and tear down the shared connection). Transport
 // failures void the whole batch (wrapped in ErrEnhancerUnavailable);
 // per-anchor job failures come back as outcome errors.
 func (r *RemoteEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
@@ -875,8 +828,8 @@ func (r *RemoteEnhancer) dropConnLocked() {
 	}
 }
 
-var _ BatchAnchorEnhancer = (*LocalEnhancer)(nil)
-var _ BatchAnchorEnhancer = (*RemoteEnhancer)(nil)
+var _ AnchorEnhancer = (*LocalEnhancer)(nil)
+var _ AnchorEnhancer = (*RemoteEnhancer)(nil)
 var _ registrar = (*LocalEnhancer)(nil)
 var _ registrar = (*RemoteEnhancer)(nil)
 var _ pinger = (*RemoteEnhancer)(nil)

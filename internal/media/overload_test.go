@@ -264,12 +264,18 @@ func (g *gateEnhancer) succeeded() int {
 	return g.successes
 }
 
-func (g *gateEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
+// EnhanceBatch fails each job with failWith as its own outcome error;
+// otherwise the dispatch parks on gate (when set) and then succeeds.
+func (g *gateEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
 	g.mu.Lock()
 	fail, gate, started := g.failWith, g.gate, g.started
 	g.mu.Unlock()
+	outs := make([]AnchorOutcome, len(jobs))
 	if fail != nil {
-		return wire.AnchorResult{}, fail
+		for i := range outs {
+			outs[i].Err = fail
+		}
+		return outs, nil
 	}
 	if gate != nil {
 		if started != nil {
@@ -281,9 +287,12 @@ func (g *gateEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.Anchor
 		<-gate
 	}
 	g.mu.Lock()
-	g.successes++
+	g.successes += len(jobs)
 	g.mu.Unlock()
-	return wire.AnchorResult{Packet: job.Packet, Encoded: []byte{1}}, nil
+	for i, job := range jobs {
+		outs[i].Res = wire.AnchorResult{Packet: job.Packet, Encoded: []byte{1}}
+	}
+	return outs, nil
 }
 
 // TestPoolBreakerHalfOpenExactlyOnce pins a recovered replica's half-open
@@ -441,8 +450,8 @@ func TestEnhancerServerTypedOverloadReplies(t *testing.T) {
 	sendJob := func(seq uint32, budget time.Duration) {
 		t.Helper()
 		job := wire.AnchorJob{Packet: 0, DisplayIndex: 0, QP: 30, Frame: lr[0]}
-		msg := wire.Message{Type: wire.TypeAnchorJob, StreamID: streamID, Seq: seq,
-			Payload: wire.EncodeAnchorJob(job), Budget: budget}
+		msg := wire.Message{Type: wire.TypeAnchorBatchJob, StreamID: streamID, Seq: seq,
+			Payload: wire.EncodeAnchorBatchJob([]wire.AnchorJob{job}), Budget: budget}
 		if err := wire.Write(conn, msg); err != nil {
 			t.Fatalf("send job %d: %v", seq, err)
 		}
@@ -473,8 +482,11 @@ func TestEnhancerServerTypedOverloadReplies(t *testing.T) {
 	time.Sleep(60 * time.Millisecond)
 	close(gate)
 
-	if reply, err = wire.Read(conn, wire.DefaultMaxPayload); err != nil || reply.Seq != 1 || reply.Type != wire.TypeAnchorResult {
-		t.Fatalf("job 1 reply = seq %d type %v err %v, want an anchor result", reply.Seq, reply.Type, err)
+	if reply, err = wire.Read(conn, wire.DefaultMaxPayload); err != nil || reply.Seq != 1 || reply.Type != wire.TypeAnchorBatchResult {
+		t.Fatalf("job 1 reply = seq %d type %v err %v, want an anchor batch result", reply.Seq, reply.Type, err)
+	}
+	if outs, err := wire.DecodeAnchorBatchResult(reply.Payload); err != nil || len(outs) != 1 || outs[0].Err != "" {
+		t.Fatalf("job 1 outcomes = %+v, %v, want one success", outs, err)
 	}
 	if reply, err = wire.Read(conn, wire.DefaultMaxPayload); err != nil || reply.Seq != 2 || reply.Type != wire.TypeError {
 		t.Fatalf("job 2 reply = seq %d type %v err %v, want a deadline error", reply.Seq, reply.Type, err)

@@ -255,8 +255,16 @@ func (p *EnhancerPool) Register(streamID uint32, h wire.Hello) error {
 	return nil
 }
 
-// Enhance implements AnchorEnhancer with retry, failover, and breaker
-// bookkeeping. Attempts prefer replicas not yet tried for this job.
+// Enhance is EnhanceBatch for a batch of one: the retry ladder below for
+// a single job. It is kept for callers holding a single anchor (benchmark
+// tracing); the serving path never calls it.
+func (p *EnhancerPool) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
+	return enhanceOne(p, streamID, job)
+}
+
+// retryLadder runs one anchor job (job holds exactly one) with retry,
+// failover, and breaker bookkeeping: each attempt is a one-job dispatch,
+// preferring replicas not yet tried for this job.
 //
 // A job without a deadline gets the legacy fixed ladder: MaxRetries+1
 // attempts with full jittered backoff between them. A job with a
@@ -267,13 +275,13 @@ func (p *EnhancerPool) Register(streamID uint32, h wire.Hello) error {
 // ErrDeadlineExceeded the moment the budget runs out. Sleeping past the
 // chunk's deadline to honor a fixed attempt count would only delay the
 // degraded chunk it ships regardless.
-func (p *EnhancerPool) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
+func (p *EnhancerPool) retryLadder(streamID uint32, job []wire.AnchorJob) (wire.AnchorResult, error) {
 	p.counters.calls.Add(1)
-	deadline := job.Deadline
+	deadline := job[0].Deadline
 	if expired(deadline, time.Now()) {
 		p.counters.deadlineExpired.Add(1)
 		return wire.AnchorResult{}, fmt.Errorf("media: anchor %d of stream %d: budget spent before first attempt: %w",
-			job.Packet, streamID, ErrDeadlineExceeded)
+			job[0].Packet, streamID, ErrDeadlineExceeded)
 	}
 	attempts := p.cfg.MaxRetries + 1
 	tried := make(map[*poolReplica]bool, len(p.replicas))
@@ -316,39 +324,42 @@ func (p *EnhancerPool) Enhance(streamID uint32, job wire.AnchorJob) (wire.Anchor
 		if attempt > 0 {
 			p.counters.failovers.Add(1)
 		}
-		res, err := rep.enhance(streamID, job)
+		outs, err := rep.dispatch(streamID, job)
 		if err == nil {
-			return res, nil
+			if outs[0].Err == nil {
+				return outs[0].Res, nil
+			}
+			err = fmt.Errorf("replica %s: %w", rep.id, outs[0].Err)
 		}
 		lastErr = err
-		p.cfg.Logf("media: pool replica %s anchor %d stream %d: %v", rep.id, job.Packet, streamID, err)
+		p.cfg.Logf("media: pool replica %s anchor %d stream %d: %v", rep.id, job[0].Packet, streamID, err)
 		attempt++
 	}
 	if !deadline.IsZero() {
 		p.counters.deadlineExpired.Add(1)
 		return wire.AnchorResult{}, fmt.Errorf("media: anchor %d of stream %d: budget spent after %d attempts (%v): %w",
-			job.Packet, streamID, attempt, lastErr, ErrDeadlineExceeded)
+			job[0].Packet, streamID, attempt, lastErr, ErrDeadlineExceeded)
 	}
 	p.counters.unavailable.Add(1)
 	return wire.AnchorResult{}, fmt.Errorf("media: anchor %d of stream %d failed after %d attempts (%v): %w",
-		job.Packet, streamID, attempts, lastErr, ErrEnhancerUnavailable)
+		job[0].Packet, streamID, attempts, lastErr, ErrEnhancerUnavailable)
 }
 
-// EnhanceBatch implements BatchAnchorEnhancer: one batched attempt on a
+// EnhanceBatch implements AnchorEnhancer: one batched attempt on a
 // round-robin-admitted replica amortizes the per-anchor round trip, then
 // any anchor the batch did not land falls over to the full per-anchor
-// Enhance retry ladder. A mid-batch fault therefore degrades only the
-// anchors it actually touched: the siblings keep their batch results and
-// the failed ones get the same retry/failover treatment the per-anchor
-// path gives them. A batch of one is exactly the per-anchor path.
+// retry ladder. A mid-batch fault therefore degrades only the anchors it
+// actually touched: the siblings keep their batch results and the failed
+// ones get the same retry/failover treatment a lone anchor gets. A batch
+// of one goes straight to the ladder, whose first attempt is that batch.
+// Outcomes carry every failure; the batch-level error is always nil.
 func (p *EnhancerPool) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
 	if len(jobs) == 0 {
 		return nil, nil
 	}
 	outs := make([]AnchorOutcome, len(jobs))
 	if len(jobs) == 1 {
-		res, err := p.Enhance(streamID, jobs[0])
-		outs[0] = AnchorOutcome{Res: res, Err: err}
+		outs[0].Res, outs[0].Err = p.retryLadder(streamID, jobs)
 		return outs, nil
 	}
 	done := make([]bool, len(jobs))
@@ -359,11 +370,11 @@ func (p *EnhancerPool) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]A
 	if !expired(minJobDeadline(jobs), time.Now()) {
 		p.batchAttempt(streamID, jobs, outs, done)
 	}
-	// Per-anchor rescue: counters are charged by Enhance itself, so the
-	// batch attempt above stays invisible to the per-anchor call ledger.
-	// Rescued anchors fan out concurrently — the same parallelism the
-	// per-anchor dispatch path gives them — and outcomes land by index,
-	// so completion order never shows in the result.
+	// Per-anchor rescue: counters are charged by the ladder itself, so
+	// the batch attempt above stays invisible to the per-anchor call
+	// ledger. Rescued anchors fan out concurrently — the parallelism the
+	// server gives lone anchors — and outcomes land by index, so
+	// completion order never shows in the result.
 	var wg sync.WaitGroup
 	for i := range jobs {
 		if done[i] {
@@ -372,8 +383,7 @@ func (p *EnhancerPool) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]A
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			res, err := p.Enhance(streamID, jobs[i])
-			outs[i] = AnchorOutcome{Res: res, Err: err}
+			outs[i].Res, outs[i].Err = p.retryLadder(streamID, jobs[i:i+1])
 		}(i)
 	}
 	wg.Wait()
@@ -387,29 +397,17 @@ func (p *EnhancerPool) batchAttempt(streamID uint32, jobs []wire.AnchorJob, outs
 	if rep == nil {
 		return
 	}
-	bouts, err := rep.enhanceBatch(streamID, jobs)
-	if err == nil {
-		for i, o := range bouts {
-			if o.Err == nil {
-				outs[i] = o
-				done[i] = true
-			}
-		}
-	} else if !errors.Is(err, errBatchUnsupported) {
+	bouts, err := rep.dispatch(streamID, jobs)
+	if err != nil {
 		p.cfg.Logf("media: pool replica %s batch of %d stream %d: %v", rep.id, len(jobs), streamID, err)
+		return
 	}
-}
-
-// errBatchUnsupported reports a replica whose enhancer cannot coalesce
-// anchors; the pool falls back to per-anchor dispatch without charging
-// the replica's breaker.
-var errBatchUnsupported = errors.New("media: replica does not support batched enhancement")
-
-// wireBatchEnhancer is the wire-typed batch shape (outcome errors as
-// strings). Fault-injection tiers implement this form because they mirror
-// the media interfaces structurally without importing the package.
-type wireBatchEnhancer interface {
-	EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]wire.AnchorBatchOutcome, error)
+	for i, o := range bouts {
+		if o.Err == nil {
+			outs[i] = o
+			done[i] = true
+		}
+	}
 }
 
 // next picks the first admissible replica in round-robin order that is
@@ -598,9 +596,15 @@ func (r *poolReplica) syncRegistrations(now time.Time) error {
 	return err
 }
 
-// enhance runs one admitted job on this replica, handling connect,
-// registration replay, and breaker reporting.
-func (r *poolReplica) enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
+// dispatch runs one admitted batch on this replica, handling connect,
+// registration replay, and breaker reporting. Per-anchor job failures
+// ride back inside the outcomes; the error return voids the whole
+// dispatch (transport failure or protocol violation). The breaker hears
+// exactly one report per dispatch: a one-job batch (a retry-ladder
+// attempt) is charged on its job's outcome, a larger batch only on a
+// batch-level error, since the ladder rescues and charges its failed
+// members itself.
+func (r *poolReplica) dispatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
 	r.mu.Lock()
 	err := r.connectLocked()
 	if err == nil {
@@ -608,66 +612,12 @@ func (r *poolReplica) enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorR
 	}
 	enh := r.enh
 	r.mu.Unlock()
-	if err != nil {
-		r.report(false, time.Now())
-		r.dropIfUnavailable(err)
-		return wire.AnchorResult{}, fmt.Errorf("replica %s: %w", r.id, err)
-	}
-	res, err := enh.Enhance(streamID, job)
-	if err == nil && res.Packet != job.Packet {
-		err = fmt.Errorf("replica %s returned anchor %d for job %d", r.id, res.Packet, job.Packet)
-	}
-	r.report(err == nil, time.Now())
-	if err != nil {
-		r.dropIfUnavailable(err)
-		return wire.AnchorResult{}, fmt.Errorf("replica %s: %w", r.id, err)
-	}
-	return res, nil
-}
-
-// enhanceBatch runs one admitted batch on this replica. Per-anchor job
-// failures ride back inside the outcomes; the error return voids the
-// whole attempt (transport failure, protocol violation, or a replica
-// that cannot batch at all — the latter flagged with errBatchUnsupported
-// and not charged to the breaker, since the connection is healthy).
-func (r *poolReplica) enhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
-	r.mu.Lock()
-	err := r.connectLocked()
-	if err == nil {
-		err = r.syncRegistrationsLocked()
-	}
-	enh := r.enh
-	r.mu.Unlock()
-	if err != nil {
-		r.report(false, time.Now())
-		r.dropIfUnavailable(err)
-		return nil, fmt.Errorf("replica %s: %w", r.id, err)
-	}
 	var outs []AnchorOutcome
-	switch be := enh.(type) {
-	case BatchAnchorEnhancer:
-		outs, err = be.EnhanceBatch(streamID, jobs)
-	case wireBatchEnhancer:
-		var wouts []wire.AnchorBatchOutcome
-		wouts, err = be.EnhanceBatch(streamID, jobs)
-		if err == nil {
-			outs = make([]AnchorOutcome, len(wouts))
-			for i, o := range wouts {
-				if o.Err != "" {
-					outs[i].Err = errors.New(o.Err)
-				} else {
-					outs[i].Res = o.Res
-				}
-			}
-		}
-	default:
-		// Connect + registration replay succeeded, so this was a healthy
-		// probe (ping semantics) even though no batch ran.
-		r.report(true, time.Now())
-		return nil, fmt.Errorf("replica %s: %w", r.id, errBatchUnsupported)
+	if err == nil {
+		outs, err = enh.EnhanceBatch(streamID, jobs)
 	}
 	if err == nil && len(outs) != len(jobs) {
-		err = fmt.Errorf("replica %s returned %d outcomes for %d jobs", r.id, len(outs), len(jobs))
+		err = fmt.Errorf("returned %d outcomes for %d jobs", len(outs), len(jobs))
 	}
 	if err == nil {
 		for i := range outs {
@@ -677,9 +627,15 @@ func (r *poolReplica) enhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]An
 			}
 		}
 	}
-	r.report(err == nil, time.Now())
+	charged := err
+	if charged == nil && len(jobs) == 1 {
+		charged = outs[0].Err
+	}
+	r.report(charged == nil, time.Now())
+	if charged != nil {
+		r.dropIfUnavailable(charged)
+	}
 	if err != nil {
-		r.dropIfUnavailable(err)
 		return nil, fmt.Errorf("replica %s: %w", r.id, err)
 	}
 	return outs, nil
@@ -756,5 +712,5 @@ func (r *poolReplica) report(ok bool, now time.Time) {
 	}
 }
 
-var _ BatchAnchorEnhancer = (*EnhancerPool)(nil)
+var _ AnchorEnhancer = (*EnhancerPool)(nil)
 var _ registrar = (*EnhancerPool)(nil)

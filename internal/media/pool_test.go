@@ -25,18 +25,28 @@ func (c *ctrlEnhancer) setFail(err error) {
 	c.mu.Unlock()
 }
 
-func (c *ctrlEnhancer) Enhance(streamID uint32, job wire.AnchorJob) (wire.AnchorResult, error) {
+// EnhanceBatch fails each job with failWith as its own outcome error, as
+// LocalEnhancer reports job failures; ErrEnhancerUnavailable models a dead
+// connection and voids the whole batch instead.
+func (c *ctrlEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if c.failWith != nil {
-		return wire.AnchorResult{}, c.failWith
+	if errors.Is(c.failWith, ErrEnhancerUnavailable) {
+		return nil, c.failWith
 	}
-	c.enhanced++
-	res := wire.AnchorResult{Packet: job.Packet, Encoded: []byte{1, 2, 3, 4}}
-	if c.wrongPacket {
-		res.Packet = job.Packet + 1
+	outs := make([]AnchorOutcome, len(jobs))
+	for i, job := range jobs {
+		if c.failWith != nil {
+			outs[i].Err = c.failWith
+			continue
+		}
+		c.enhanced++
+		outs[i].Res = wire.AnchorResult{Packet: job.Packet, Encoded: []byte{1, 2, 3, 4}}
+		if c.wrongPacket {
+			outs[i].Res.Packet++
+		}
 	}
-	return res, nil
+	return outs, nil
 }
 
 func (c *ctrlEnhancer) Register(streamID uint32, h wire.Hello) error {
@@ -57,6 +67,29 @@ func (c *ctrlEnhancer) Ping() error {
 	}
 	c.pings++
 	return nil
+}
+
+// batchSplitEnhancer fails every member of a multi-job batch as its own
+// outcome error and serves one-job batches normally.
+type batchSplitEnhancer struct {
+	mu               sync.Mutex
+	batches, singles int
+}
+
+func (b *batchSplitEnhancer) EnhanceBatch(streamID uint32, jobs []wire.AnchorJob) ([]AnchorOutcome, error) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	outs := make([]AnchorOutcome, len(jobs))
+	if len(jobs) > 1 {
+		b.batches++
+		for i := range outs {
+			outs[i].Err = errors.New("batch member failed")
+		}
+		return outs, nil
+	}
+	b.singles++
+	outs[0].Res = wire.AnchorResult{Packet: jobs[0].Packet, Encoded: []byte{1}}
+	return outs, nil
 }
 
 func quickPoolConfig() PoolConfig {
@@ -111,6 +144,45 @@ func TestPoolFailoverToHealthyReplica(t *testing.T) {
 	}
 	if c.Unavailable != 0 {
 		t.Errorf("unavailable = %d, want 0", c.Unavailable)
+	}
+}
+
+// TestPoolBatchMemberFailuresLeaveBreakerClosed pins the breaker's batch
+// rule: a batched attempt is charged only on a batch-level error, never
+// on its members' outcome errors, which the per-anchor rescue ladder
+// charges itself. Every member of a batch of three fails as an outcome
+// error; each must land through the ladder on the same replica with the
+// breaker still closed. Threshold 3 catches a per-member charge;
+// threshold 1 catches even a single charge for the batch, which would
+// open the breaker and strand the rescue.
+func TestPoolBatchMemberFailuresLeaveBreakerClosed(t *testing.T) {
+	for _, threshold := range []int{3, 1} {
+		e := &batchSplitEnhancer{}
+		cfg := quickPoolConfig()
+		cfg.BreakerThreshold = threshold
+		p, err := NewEnhancerPool([]Replica{StaticReplica("solo", e)}, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		outs, err := p.EnhanceBatch(1, []wire.AnchorJob{{Packet: 0}, {Packet: 1}, {Packet: 2}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for i, o := range outs {
+			if o.Err != nil || o.Res.Packet != i {
+				t.Errorf("threshold %d: anchor %d = %+v, want it rescued", threshold, i, o)
+			}
+		}
+		if st := p.ReplicaStates()["solo"]; st != BreakerClosed {
+			t.Errorf("threshold %d: breaker = %v, want closed", threshold, st)
+		}
+		if c := p.Counters(); c.BreakerOpens != 0 || c.Calls != 3 || c.Retries != 0 || c.Unavailable != 0 {
+			t.Errorf("threshold %d: counters = %+v, want 3 calls, no retries, no opens", threshold, c)
+		}
+		if e.batches != 1 || e.singles != 3 {
+			t.Errorf("threshold %d: replica saw %d batches and %d singles, want 1 and 3", threshold, e.batches, e.singles)
+		}
+		p.Close()
 	}
 }
 

@@ -59,9 +59,8 @@ type ServerConfig struct {
 	// output bytes (outcomes are keyed by selection index and anchors
 	// fail independently); it only amortizes per-dispatch overhead. The
 	// effective cap never exceeds MaxInFlightAnchors. Zero uses
-	// DefaultMaxAnchorBatch; 1 or negative dispatches per anchor exactly
-	// like the unbatched path. Enhancers that cannot batch fall back to
-	// per-anchor dispatch regardless.
+	// DefaultMaxAnchorBatch; 1 or negative sends every anchor as its own
+	// batch of one.
 	MaxAnchorBatch int
 	// PipelineDepth bounds how many chunks per connection may occupy the
 	// ingest pipeline stages (decode+select → enhance → package+store)
@@ -718,7 +717,7 @@ func (s *Server) startChunk(streamID uint32, st *serverStream, container *hybrid
 		container: container,
 		selected:  selected,
 		jobs:      make([]wire.AnchorJob, len(selected)),
-		outcomes:  make([]anchorOutcome, len(selected)),
+		outcomes:  make([]AnchorOutcome, len(selected)),
 	}
 	for si, c := range selected {
 		i := c.Meta.Packet
@@ -833,10 +832,10 @@ func (s *Server) floorChunk(job *ingestJob, st *serverStream) {
 	}
 }
 
-// dispatchAnchors fans a chunk's selected anchors out to the enhancer:
-// coalesced into batches of up to MaxAnchorBatch when the enhancer can
-// take them, per-anchor otherwise. Outcomes land by selection index
-// either way, so the configuration never changes output bytes.
+// dispatchAnchors fans a chunk's selected anchors out to the enhancer in
+// batches of up to MaxAnchorBatch; a leftover singleton, or every anchor
+// when MaxAnchorBatch is 1, is a batch of one. Outcomes land by
+// selection index, so the configuration never changes output bytes.
 func (s *Server) dispatchAnchors(pc *pendingChunk) {
 	batch := s.cfg.MaxAnchorBatch
 	// Brownout L2+ doubles the effective batch (still within the
@@ -848,27 +847,10 @@ func (s *Server) dispatchAnchors(pc *pendingChunk) {
 			batch = s.cfg.MaxInFlightAnchors
 		}
 	}
-	be, canBatch := s.enhancer.(BatchAnchorEnhancer)
-	if !canBatch || batch < 2 {
-		pc.wg.Add(len(pc.jobs))
-		for si := range pc.jobs {
-			go s.enhanceAnchor(pc, si)
-		}
-		return
-	}
 	for lo := 0; lo < len(pc.jobs); lo += batch {
-		hi := lo + batch
-		if hi > len(pc.jobs) {
-			hi = len(pc.jobs)
-		}
+		hi := min(lo+batch, len(pc.jobs))
 		pc.wg.Add(1)
-		if hi-lo == 1 {
-			// A leftover singleton takes the per-anchor path so a batch of
-			// one degenerates to today's dispatch bit-exactly.
-			go s.enhanceAnchor(pc, lo)
-			continue
-		}
-		go s.enhanceBatch(be, pc, lo, hi)
+		go s.enhanceBatch(pc, lo, hi)
 	}
 }
 
@@ -881,7 +863,7 @@ type pendingChunk struct {
 	container *hybrid.Container
 	selected  []anchor.Candidate
 	jobs      []wire.AnchorJob
-	outcomes  []anchorOutcome
+	outcomes  []AnchorOutcome
 	wg        sync.WaitGroup
 	// floored marks a chunk shipped at the bilinear floor (expired
 	// deadline or brownout): no anchors were selected or dispatched.
@@ -891,28 +873,11 @@ type pendingChunk struct {
 	pending bool
 }
 
-type anchorOutcome struct {
-	res wire.AnchorResult
-	err error
-}
-
-// enhanceAnchor runs one anchor RPC under the server-wide in-flight
-// bound.
-func (s *Server) enhanceAnchor(pc *pendingChunk, si int) {
-	defer pc.wg.Done()
-	s.anchorSlots <- struct{}{}
-	defer func() { <-s.anchorSlots }()
-	s.stages.anchorsInFlight.Add(1)
-	defer s.stages.anchorsInFlight.Add(-1)
-	res, err := s.enhancer.Enhance(pc.streamID, pc.jobs[si])
-	pc.outcomes[si] = anchorOutcome{res: res, err: err}
-}
-
 // enhanceBatch runs one coalesced dispatch for jobs[lo:hi) under the
 // in-flight bound (a batch of n holds n slots, acquired under slotMu so
 // concurrent batches cannot deadlock on partial holdings). A batch-level
 // failure annotates every member; per-anchor failures stay individual.
-func (s *Server) enhanceBatch(be BatchAnchorEnhancer, pc *pendingChunk, lo, hi int) {
+func (s *Server) enhanceBatch(pc *pendingChunk, lo, hi int) {
 	defer pc.wg.Done()
 	n := hi - lo
 	s.slotMu.Lock()
@@ -927,19 +892,17 @@ func (s *Server) enhanceBatch(be BatchAnchorEnhancer, pc *pendingChunk, lo, hi i
 	}()
 	s.stages.anchorsInFlight.Add(int64(n))
 	defer s.stages.anchorsInFlight.Add(-int64(n))
-	outs, err := be.EnhanceBatch(pc.streamID, pc.jobs[lo:hi])
+	outs, err := s.enhancer.EnhanceBatch(pc.streamID, pc.jobs[lo:hi])
 	if err == nil && len(outs) != n {
 		err = fmt.Errorf("media: enhancer returned %d outcomes for a batch of %d", len(outs), n)
 	}
 	if err != nil {
 		for si := lo; si < hi; si++ {
-			pc.outcomes[si] = anchorOutcome{err: err}
+			pc.outcomes[si] = AnchorOutcome{Err: err}
 		}
 		return
 	}
-	for i, o := range outs {
-		pc.outcomes[lo+i] = anchorOutcome{res: o.Res, err: o.Err}
-	}
+	copy(pc.outcomes[lo:hi], outs)
 }
 
 // packageStage is the final stage: wait for the chunk's fan-out, rescue
@@ -1057,12 +1020,11 @@ func (s *Server) assembleChunk(pc *pendingChunk, deadline time.Time) ([]byte, bo
 	if !expired(deadline, time.Now()) {
 		for si := range pc.outcomes {
 			out := &pc.outcomes[si]
-			if out.err == nil || !errors.Is(out.err, ErrEnhancerUnavailable) || errors.Is(out.err, ErrDeadlineExceeded) {
+			if out.Err == nil || !errors.Is(out.Err, ErrEnhancerUnavailable) || errors.Is(out.Err, ErrDeadlineExceeded) {
 				continue
 			}
-			res, err := s.enhancer.Enhance(pc.streamID, pc.jobs[si])
-			if err == nil {
-				*out = anchorOutcome{res: res}
+			if res, err := enhanceOne(s.enhancer, pc.streamID, pc.jobs[si]); err == nil {
+				*out = AnchorOutcome{Res: res}
 			}
 		}
 	}
@@ -1071,18 +1033,18 @@ func (s *Server) assembleChunk(pc *pendingChunk, deadline time.Time) ([]byte, bo
 	for si, c := range pc.selected {
 		i := c.Meta.Packet
 		out := pc.outcomes[si]
-		if out.err != nil {
-			if errors.Is(out.err, ErrDeadlineExceeded) {
+		if out.Err != nil {
+			if errors.Is(out.Err, ErrDeadlineExceeded) {
 				s.counters.anchorsExpired.Add(1)
 			} else {
 				s.counters.anchorsDropped.Add(1)
 			}
 			degraded = true
-			s.cfg.Logf("media: stream %d: anchor %d dropped, shipping degraded chunk: %v", pc.streamID, i, out.err)
+			s.cfg.Logf("media: stream %d: anchor %d dropped, shipping degraded chunk: %v", pc.streamID, i, out.Err)
 			continue
 		}
 		if !s.cfg.DisableAnchorValidation {
-			if err := validateAnchor(out.res, i, pc.st); err != nil {
+			if err := validateAnchor(out.Res, i, pc.st); err != nil {
 				s.counters.anchorsRejected.Add(1)
 				degraded = true
 				s.cfg.Logf("media: stream %d: anchor %d rejected: %v", pc.streamID, i, err)
@@ -1090,7 +1052,7 @@ func (s *Server) assembleChunk(pc *pendingChunk, deadline time.Time) ([]byte, bo
 			}
 		}
 		s.counters.anchorsEnhanced.Add(1)
-		pc.container.Frames[i].Anchor = out.res.Encoded
+		pc.container.Frames[i].Anchor = out.Res.Encoded
 	}
 
 	// The chunk's bytes are allocated exactly once: one right-sized

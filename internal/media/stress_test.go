@@ -1,10 +1,14 @@
 package media
 
 import (
+	"errors"
 	"fmt"
+	"io"
 	"net/http/httptest"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"github.com/neuroscaler/neuroscaler/internal/metrics"
 	"github.com/neuroscaler/neuroscaler/internal/wire"
@@ -157,4 +161,43 @@ func TestMalformedWireTraffic(t *testing.T) {
 		t.Fatalf("server unusable after garbage: %v", err)
 	}
 	streamer.Close()
+}
+
+// TestEnhancerServerRejectsRetiredFrameTypes sends frames carrying the
+// retired per-anchor job and result type bytes (3 and 4) to an enhancer:
+// each must get a TypeError "unexpected message" reply echoing its Seq,
+// then a closed connection — never a hang.
+func TestEnhancerServerRejectsRetiredFrameTypes(t *testing.T) {
+	provider, _ := contentOracle(t, 4)
+	local, _ := NewLocalEnhancer(provider)
+	enh, err := NewEnhancerServer("127.0.0.1:0", local, t.Logf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer enh.Close()
+
+	for _, typ := range []wire.Type{3, 4} {
+		conn, err := dialRaw(enh.Addr())
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Deferred after enh.Close, so it runs first: a failing check
+		// never leaves Close waiting out the server's idle timeout.
+		defer conn.Close()
+		_ = conn.SetDeadline(time.Now().Add(5 * time.Second))
+		if err := wire.Write(conn, wire.Message{Type: typ, StreamID: 5, Seq: 9, Payload: make([]byte, 16)}); err != nil {
+			t.Fatal(err)
+		}
+		reply, err := wire.Read(conn, wire.DefaultMaxPayload)
+		if err != nil {
+			t.Fatalf("type %d: no reply: %v", typ, err)
+		}
+		if reply.Type != wire.TypeError || reply.Seq != 9 || !strings.Contains(string(reply.Payload), "unexpected message") {
+			t.Errorf("type %d: reply = %v seq %d %q, want an unexpected-message error for seq 9",
+				typ, reply.Type, reply.Seq, reply.Payload)
+		}
+		if _, err := wire.Read(conn, wire.DefaultMaxPayload); !errors.Is(err, io.EOF) {
+			t.Errorf("type %d: connection not closed after the error reply: %v", typ, err)
+		}
+	}
 }

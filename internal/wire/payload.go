@@ -244,13 +244,8 @@ func appendAnchorJob(buf []byte, j AnchorJob) []byte {
 	return appendFrame(buf, j.Frame)
 }
 
-// EncodeAnchorJob serializes an anchor job payload.
-func EncodeAnchorJob(j AnchorJob) []byte {
-	return appendAnchorJob(make([]byte, 0, anchorJobSize(j)), j)
-}
-
-// DecodeAnchorJob parses an anchor job payload.
-func DecodeAnchorJob(data []byte) (AnchorJob, error) {
+// decodeAnchorJob parses one anchor job entry of a batch payload.
+func decodeAnchorJob(data []byte) (AnchorJob, error) {
 	var j AnchorJob
 	if len(data) < 12 {
 		return j, errors.New("wire: truncated anchor job")
@@ -272,28 +267,12 @@ type AnchorResult struct {
 	Encoded []byte
 }
 
-// EncodeAnchorResult serializes an anchor result payload.
-func EncodeAnchorResult(r AnchorResult) []byte {
-	buf := make([]byte, 0, 8+len(r.Encoded))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(r.Packet))
-	buf = binary.BigEndian.AppendUint32(buf, uint32(len(r.Encoded)))
-	buf = append(buf, r.Encoded...)
-	return buf
-}
-
-// DecodeAnchorResult parses an anchor result payload.
-func DecodeAnchorResult(data []byte) (AnchorResult, error) {
-	var r AnchorResult
-	if len(data) < 8 {
-		return r, errors.New("wire: truncated anchor result")
-	}
-	r.Packet = int(binary.BigEndian.Uint32(data))
-	n := binary.BigEndian.Uint32(data[4:])
-	if uint32(len(data)-8) != n {
-		return r, errors.New("wire: anchor result length mismatch")
-	}
-	r.Encoded = append([]byte(nil), data[8:]...)
-	return r, nil
+// AnchorOutcome is one anchor's result within a batch, in process: exactly
+// one of Res or Err is meaningful. Batch members fail independently. On
+// the wire an outcome travels as an AnchorBatchOutcome.
+type AnchorOutcome struct {
+	Res AnchorResult
+	Err error
 }
 
 // maxAnchorBatch bounds the per-frame anchor count against malformed or
@@ -302,7 +281,9 @@ func DecodeAnchorResult(data []byte) (AnchorResult, error) {
 const maxAnchorBatch = 4096
 
 // EncodeAnchorBatchJob serializes a batch of anchor jobs into one
-// payload: count(4) then length-prefixed EncodeAnchorJob entries.
+// payload: count(4) then length-prefixed anchor job entries (packet,
+// display index and QP as u32, then the raw frame). A single anchor is a
+// batch of one.
 func EncodeAnchorBatchJob(jobs []AnchorJob) []byte {
 	size := 4
 	for _, j := range jobs {
@@ -337,7 +318,7 @@ func DecodeAnchorBatchJob(data []byte) ([]AnchorJob, error) {
 		if uint32(len(data)) < l {
 			return nil, errors.New("wire: truncated anchor batch entry")
 		}
-		j, err := DecodeAnchorJob(data[:l])
+		j, err := decodeAnchorJob(data[:l])
 		if err != nil {
 			return nil, err
 		}

@@ -1,8 +1,8 @@
 // Package wire implements the length-prefixed binary framing used between
 // NeuroScaler components: streamer → media server (ingest chunks), media
-// server → anchor enhancer (anchor jobs), and enhancer → media server
-// (enhanced results). It plays the role gRPC plays in the paper, on plain
-// TCP with CRC-protected frames.
+// server → anchor enhancer (anchor batch jobs), and enhancer → media
+// server (per-anchor batch outcomes). It plays the role gRPC plays in the
+// paper, on plain TCP with CRC-protected frames.
 package wire
 
 import (
@@ -25,10 +25,12 @@ const (
 	TypeHello Type = iota + 1
 	// TypeChunk carries one encoded ingest chunk.
 	TypeChunk
-	// TypeAnchorJob carries one decoded anchor frame to an enhancer.
-	TypeAnchorJob
-	// TypeAnchorResult carries one enhanced, image-coded anchor back.
-	TypeAnchorResult
+	// Types 3 and 4 carried the retired per-anchor job and result
+	// frames. They stay reserved and are never reused, so no other
+	// frame's type byte moves; a peer receiving one treats it like any
+	// unexpected type.
+	_
+	_
 	// TypeAck acknowledges a chunk or job.
 	TypeAck
 	// TypeError reports a failure; the payload is a human-readable reason.
@@ -39,9 +41,10 @@ const (
 	TypePing
 	// TypePong answers a ping.
 	TypePong
-	// TypeAnchorBatchJob carries several decoded anchor frames to an
-	// enhancer in one round trip; the reply is one TypeAnchorBatchResult
-	// with per-anchor outcomes in job order.
+	// TypeAnchorBatchJob carries one or more decoded anchor frames to an
+	// enhancer in one round trip (a single anchor is a batch of one); the
+	// reply is one TypeAnchorBatchResult with per-anchor outcomes in job
+	// order.
 	TypeAnchorBatchJob
 	// TypeAnchorBatchResult carries the per-anchor outcomes of a batch
 	// job (each anchor succeeds or fails independently).
@@ -70,10 +73,6 @@ func (t Type) String() string {
 		return "hello"
 	case TypeChunk:
 		return "chunk"
-	case TypeAnchorJob:
-		return "anchor-job"
-	case TypeAnchorResult:
-		return "anchor-result"
 	case TypeAck:
 		return "ack"
 	case TypeError:

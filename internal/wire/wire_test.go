@@ -3,6 +3,7 @@ package wire
 import (
 	"bytes"
 	"errors"
+	"fmt"
 	"io"
 	"net"
 	"testing"
@@ -41,6 +42,41 @@ func TestFrameRoundTrip(t *testing.T) {
 	}
 	if _, err := Read(&buf, DefaultMaxPayload); err != io.EOF {
 		t.Errorf("after drain, err = %v, want io.EOF", err)
+	}
+}
+
+// TestTypeNumbers pins every message type's on-the-wire value. Slots 3
+// and 4 belonged to the retired per-anchor job and result frames: they
+// stay reserved so no other frame's type byte ever moves.
+func TestTypeNumbers(t *testing.T) {
+	for _, tc := range []struct {
+		typ  Type
+		want uint8
+	}{
+		{TypeHello, 1},
+		{TypeChunk, 2},
+		{TypeAck, 5},
+		{TypeError, 6},
+		{TypeGoodbye, 7},
+		{TypePing, 8},
+		{TypePong, 9},
+		{TypeAnchorBatchJob, 10},
+		{TypeAnchorBatchResult, 11},
+		{TypeFetchChunk, 12},
+		{TypeChunkData, 13},
+		{TypeSubscribe, 14},
+	} {
+		if uint8(tc.typ) != tc.want {
+			t.Errorf("%v = %d, want %d", tc.typ, uint8(tc.typ), tc.want)
+		}
+	}
+	if maxType != TypeSubscribe {
+		t.Errorf("maxType = %v, want %v", maxType, TypeSubscribe)
+	}
+	for _, reserved := range []Type{3, 4} {
+		if got, want := reserved.String(), fmt.Sprintf("Type(%d)", uint8(reserved)); got != want {
+			t.Errorf("reserved type %d is named %q", uint8(reserved), got)
+		}
 	}
 }
 
@@ -199,7 +235,7 @@ func TestFramePayloadRoundTrip(t *testing.T) {
 func TestAnchorJobRoundTrip(t *testing.T) {
 	j := AnchorJob{Packet: 5, DisplayIndex: 42, QP: 90, Frame: frame.MustNew(16, 16)}
 	j.Frame.Y.Fill(99)
-	got, err := DecodeAnchorJob(EncodeAnchorJob(j))
+	got, err := decodeAnchorJob(appendAnchorJob(nil, j))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,26 +245,8 @@ func TestAnchorJobRoundTrip(t *testing.T) {
 	if got.Frame.Y.At(3, 3) != 99 {
 		t.Error("job frame corrupted")
 	}
-	if _, err := DecodeAnchorJob([]byte{1, 2}); err == nil {
+	if _, err := decodeAnchorJob([]byte{1, 2}); err == nil {
 		t.Error("truncated job accepted")
-	}
-}
-
-func TestAnchorResultRoundTrip(t *testing.T) {
-	r := AnchorResult{Packet: 9, Encoded: []byte("jpeg-ish bytes")}
-	got, err := DecodeAnchorResult(EncodeAnchorResult(r))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got.Packet != 9 || !bytes.Equal(got.Encoded, r.Encoded) {
-		t.Errorf("result round trip: %+v", got)
-	}
-	if _, err := DecodeAnchorResult([]byte{0}); err == nil {
-		t.Error("truncated result accepted")
-	}
-	bad := EncodeAnchorResult(r)
-	if _, err := DecodeAnchorResult(bad[:len(bad)-2]); err == nil {
-		t.Error("length-mismatched result accepted")
 	}
 }
 
@@ -285,20 +303,23 @@ func TestAnchorBatchJobRoundTrip(t *testing.T) {
 	}
 	jobs[0].Frame.Y.Fill(12)
 	jobs[1].Frame.Y.Fill(200)
-	got, err := DecodeAnchorBatchJob(EncodeAnchorBatchJob(jobs))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 2 {
-		t.Fatalf("batch size = %d, want 2", len(got))
-	}
-	for i := range jobs {
-		if got[i].Packet != jobs[i].Packet || got[i].DisplayIndex != jobs[i].DisplayIndex || got[i].QP != jobs[i].QP {
-			t.Errorf("job %d fields: %+v", i, got[i])
+	// A single anchor travels as a batch of one.
+	for _, batch := range [][]AnchorJob{jobs, jobs[1:]} {
+		got, err := DecodeAnchorBatchJob(EncodeAnchorBatchJob(batch))
+		if err != nil {
+			t.Fatal(err)
 		}
-		sad, err := frame.AbsDiffSum(got[i].Frame, jobs[i].Frame)
-		if err != nil || sad != 0 {
-			t.Errorf("job %d frame: sad=%d err=%v", i, sad, err)
+		if len(got) != len(batch) {
+			t.Fatalf("batch size = %d, want %d", len(got), len(batch))
+		}
+		for i := range batch {
+			if got[i].Packet != batch[i].Packet || got[i].DisplayIndex != batch[i].DisplayIndex || got[i].QP != batch[i].QP {
+				t.Errorf("job %d fields: %+v", i, got[i])
+			}
+			sad, err := frame.AbsDiffSum(got[i].Frame, batch[i].Frame)
+			if err != nil || sad != 0 {
+				t.Errorf("job %d frame: sad=%d err=%v", i, sad, err)
+			}
 		}
 	}
 	// Empty batches round-trip (degenerate but legal).
@@ -322,22 +343,29 @@ func TestAnchorBatchResultRoundTrip(t *testing.T) {
 		{Res: AnchorResult{Packet: 7}, Err: "enhancer unavailable"},
 		{Res: AnchorResult{Packet: 9, Encoded: []byte("enhanced-b")}},
 	}
+	// A single anchor's reply is a batch of one, success or failure.
+	for _, batch := range [][]AnchorBatchOutcome{outs, outs[:1], outs[1:2]} {
+		enc, err := EncodeAnchorBatchResult(batch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := DecodeAnchorBatchResult(enc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got) != len(batch) {
+			t.Fatalf("outcome count = %d, want %d", len(got), len(batch))
+		}
+		for i := range batch {
+			if got[i].Res.Packet != batch[i].Res.Packet || got[i].Err != batch[i].Err ||
+				!bytes.Equal(got[i].Res.Encoded, batch[i].Res.Encoded) {
+				t.Errorf("outcome %d = %+v, want %+v", i, got[i], batch[i])
+			}
+		}
+	}
 	enc, err := EncodeAnchorBatchResult(outs)
 	if err != nil {
 		t.Fatal(err)
-	}
-	got, err := DecodeAnchorBatchResult(enc)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != len(outs) {
-		t.Fatalf("outcome count = %d, want %d", len(got), len(outs))
-	}
-	for i := range outs {
-		if got[i].Res.Packet != outs[i].Res.Packet || got[i].Err != outs[i].Err ||
-			!bytes.Equal(got[i].Res.Encoded, outs[i].Res.Encoded) {
-			t.Errorf("outcome %d = %+v, want %+v", i, got[i], outs[i])
-		}
 	}
 	for _, bad := range [][]byte{{9}, {0, 0, 0, 1, 0, 0, 0, 1, 0}, {0, 0, 0, 1, 0, 0, 0, 1, 0, 1, 'x', 0, 0, 0, 5}} {
 		if _, err := DecodeAnchorBatchResult(bad); err == nil {
@@ -468,7 +496,7 @@ func TestDeadlineFrameRoundTrip(t *testing.T) {
 // rejected without leaking pooled payloads.
 func TestDeadlineFramePooledAndTruncated(t *testing.T) {
 	var buf bytes.Buffer
-	in := Message{Type: TypeAnchorJob, StreamID: 1, Seq: 7, Payload: []byte("payload"), Budget: 250 * time.Microsecond}
+	in := Message{Type: TypeAnchorBatchJob, StreamID: 1, Seq: 7, Payload: []byte("payload"), Budget: 250 * time.Microsecond}
 	if err := Write(&buf, in); err != nil {
 		t.Fatal(err)
 	}
