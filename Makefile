@@ -55,6 +55,7 @@ fuzz-smoke:
 	go test -tags fuzz -run xxx -fuzz FuzzContainerRoundTrip -fuzztime 30s ./internal/hybrid
 	go test -tags fuzz -run xxx -fuzz FuzzWireFrame -fuzztime 30s ./internal/wire
 	go test -tags fuzz -run xxx -fuzz FuzzParseMatchesDecode -fuzztime 30s ./internal/vcodec
+	go test -tags fuzz -run xxx -fuzz FuzzSkipMatchesRead -fuzztime 30s ./internal/bitstream
 
 # Serving-path allocation gate: allocs/op on BenchmarkServerChunk versus
 # the checked-in bench_budget.json, failing on a >10% regression.

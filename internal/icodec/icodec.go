@@ -77,13 +77,8 @@ func encodePlane(w *bitstream.Writer, p *frame.Plane, table *transform.Quantizer
 		dc := b[0]
 		b[0] -= prevDC
 		transform.Zigzag(scan, b)
-		bitstream.WriteCoeffs(w, scan)
+		st.NonZeroCoefs += bitstream.WriteCoeffs(w, scan)
 		st.BlocksCoded++
-		for _, c := range scan {
-			if c != 0 {
-				st.NonZeroCoefs++
-			}
-		}
 		return dc
 	}
 	if par.Workers() == 1 {
@@ -263,9 +258,10 @@ func storeBlock(b *transform.Block, p *frame.Plane, bx, by int) {
 
 // Validate parses a bitstream produced by Encode without reconstructing
 // pixels and returns the coded dimensions. It fails on exactly the inputs
-// Decode fails on: entropy parsing is the only fallible stage, so walking
-// every block's coefficient codes checks decodability at a fraction of the
-// cost of dequantization and the inverse transform.
+// Decode fails on: entropy parsing is the only fallible stage, so skipping
+// over every block's coefficient codes (bitstream.SkipCoeffs, which
+// rejects exactly what ReadCoeffs rejects) checks decodability at a
+// fraction of the cost of dequantization and the inverse transform.
 func Validate(data []byte) (int, int, error) {
 	r := bitstream.NewReader(data)
 	m, err := r.ReadBits(32)
@@ -297,12 +293,11 @@ func Validate(data []byte) (int, int, error) {
 	}
 	bs := transform.BlockSize
 	cw, ch := (w+1)/2, (h+1)/2
-	var scan [64]int32
 	for _, d := range [3][2]int{{w, h}, {cw, ch}, {cw, ch}} {
 		nbx := (d[0] + bs - 1) / bs
 		nby := (d[1] + bs - 1) / bs
 		for i := 0; i < nbx*nby; i++ {
-			if err := bitstream.ReadCoeffs(r, scan[:]); err != nil {
+			if err := bitstream.SkipCoeffs(r, 64); err != nil {
 				return 0, 0, fmt.Errorf("icodec: block (%d,%d): %w", (i%nbx)*bs, (i/nbx)*bs, err)
 			}
 		}

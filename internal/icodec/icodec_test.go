@@ -5,8 +5,10 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/neuroscaler/neuroscaler/internal/bitstream"
 	"github.com/neuroscaler/neuroscaler/internal/frame"
 	"github.com/neuroscaler/neuroscaler/internal/metrics"
+	"github.com/neuroscaler/neuroscaler/internal/par"
 	"github.com/neuroscaler/neuroscaler/internal/synth"
 )
 
@@ -236,6 +238,36 @@ func TestExtremeContent(t *testing.T) {
 		psnr, _ := metrics.PSNR(src, got)
 		if psnr < 25 {
 			t.Errorf("%s content round trip %.2f dB", name, psnr)
+		}
+	}
+}
+
+// TestHugeRunRejected: an anchor whose first coefficient group carries
+// the largest run a 63-zero Exp-Golomb prefix can code (2^64-2, which
+// wraps the block index negative if added unchecked) is rejected by
+// Validate and by Decode, fused and two-phase, with the block's
+// truncation error instead of a panic.
+func TestHugeRunRejected(t *testing.T) {
+	const want = "icodec: block (0,0): bitstream: truncated"
+	var w bitstream.Writer
+	w.WriteBits(magic, 32)
+	w.WriteBits(version, 8)
+	w.WriteBits(288, 16)
+	w.WriteBits(192, 16)
+	w.WriteBits(95, 8)
+	w.WriteBit(1)
+	w.WriteUE(1<<64 - 2)
+	w.WriteSE(1)
+	data := append(w.Bytes(), 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF, 0xFF)
+	if _, _, err := Validate(data); err == nil || err.Error() != want {
+		t.Errorf("Validate err = %v, want %q", err, want)
+	}
+	oldWorkers := par.Workers()
+	defer par.SetWorkers(oldWorkers)
+	for _, workers := range []int{1, 4} {
+		par.SetWorkers(workers)
+		if _, err := Decode(data); err == nil || err.Error() != want {
+			t.Errorf("workers %d: Decode err = %v, want %q", workers, err, want)
 		}
 	}
 }

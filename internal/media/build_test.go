@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"github.com/neuroscaler/neuroscaler/internal/anchor"
+	"github.com/neuroscaler/neuroscaler/internal/bitstream"
 	"github.com/neuroscaler/neuroscaler/internal/hybrid"
 	"github.com/neuroscaler/neuroscaler/internal/vcodec"
 	"github.com/neuroscaler/neuroscaler/internal/wire"
@@ -248,6 +249,81 @@ func TestTruncatedLastPacketRejected(t *testing.T) {
 	}
 	if c := srv.Counters(); c.ChunksProcessed != 0 || c.AnchorsSelected != 0 {
 		t.Errorf("counters = %+v, want nothing processed or selected", c)
+	}
+}
+
+// TestHugeRunChunkRejected: a chunk whose key packet carries a
+// coefficient run of 2^64-2 (the largest a 63-zero Exp-Golomb prefix can
+// code, which wraps the block index negative if added unchecked) is
+// answered with the block's truncation error instead of crashing the
+// origin, and the server goes on to serve the next stream's chunk.
+func TestHugeRunChunkRejected(t *testing.T) {
+	const badID, goodID = 9, 10
+	provider, store := contentOracle(t, testGOP)
+	local, err := NewLocalEnhancer(provider)
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv, err := NewServer("127.0.0.1:0", local, ServerConfig{Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+
+	conn, err := dialRaw(srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	_ = conn.SetDeadline(time.Now().Add(30 * time.Second))
+	payload, err := wire.EncodeHello(testHello())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := wire.Write(conn, wire.Message{Type: wire.TypeHello, StreamID: badID, Payload: payload}); err != nil {
+		t.Fatal(err)
+	}
+	if reply, err := wire.Read(conn, wire.DefaultMaxPayload); err != nil || reply.Type != wire.TypeAck {
+		t.Fatalf("hello reply = %+v, %v", reply, err)
+	}
+	// A key-frame header (type, quality 50, display index 0), then one
+	// coefficient group with the oversized run and level 1.
+	var w bitstream.Writer
+	w.WriteBits(uint64(vcodec.Key), 2)
+	w.WriteBits(50, 7)
+	w.WriteUE(0)
+	w.WriteBit(1)
+	w.WriteUE(1<<64 - 2)
+	w.WriteSE(1)
+	packet := w.Bytes()
+	for len(packet) < 30 {
+		packet = append(packet, 0xFF)
+	}
+	if err := wire.Write(conn, wire.Message{Type: wire.TypeChunk, StreamID: badID, Seq: 1, Payload: wire.EncodeChunk([][]byte{packet})}); err != nil {
+		t.Fatal(err)
+	}
+	reply, err := wire.Read(conn, wire.DefaultMaxPayload)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := fmt.Sprintf("media: stream %d packet 0: vcodec: intra block (0,0): bitstream: truncated", badID)
+	if reply.Type != wire.TypeError || reply.Seq != 1 || string(reply.Payload) != want {
+		t.Fatalf("reply = %v seq %d %q, want error seq 1 %q", reply.Type, reply.Seq, reply.Payload, want)
+	}
+	if _, err := srv.Store().Chunk(badID, 0); err == nil {
+		t.Error("crafted chunk was stored")
+	}
+
+	streamer, err := NewStreamer(srv.Addr(), goodID, testHello())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer streamer.Close()
+	if seq, err := streamer.SendChunk(lrFromHR(t, store.get(goodID))); err != nil || seq != 0 {
+		t.Fatalf("next stream's chunk: seq %d, err %v", seq, err)
+	}
+	if _, err := srv.Store().Chunk(goodID, 0); err != nil {
+		t.Errorf("next stream's chunk not stored: %v", err)
 	}
 }
 

@@ -189,6 +189,8 @@ type serverCounters struct {
 // plus reconstruction up to the chunk's last anchor. enhance_wait is the
 // time the package stage stalled on outstanding enhancements — the
 // overlap target: it shrinks as decode of later chunks hides behind it.
+// package is the validation of every returned anchor plus the marshal of
+// the container.
 type StageStats struct {
 	Chunks             uint64  `json:"chunks"`
 	DecodeCount        uint64  `json:"decode_count"`
@@ -1029,6 +1031,9 @@ func (s *Server) assembleChunk(pc *pendingChunk, deadline time.Time) ([]byte, bo
 		}
 	}
 
+	// The package stage runs from here: validating and filling anchors,
+	// then marshalling.
+	start = time.Now()
 	degraded := pc.floored
 	for si, c := range pc.selected {
 		i := c.Meta.Packet
@@ -1058,7 +1063,6 @@ func (s *Server) assembleChunk(pc *pendingChunk, deadline time.Time) ([]byte, bo
 	// The chunk's bytes are allocated exactly once: one right-sized
 	// buffer, marshaled into directly (video packets still alias the
 	// pooled wire payload until this copy), then owned by the store.
-	start = time.Now()
 	data, err := pc.container.MarshalAppend(make([]byte, 0, pc.container.MarshalSize()))
 	if err != nil {
 		return nil, degraded, err

@@ -103,12 +103,12 @@ func (d *Decoder) Decode(data []byte) (*Decoded, error) {
 
 // Parse returns the Info Decode would return for data, without
 // reconstructing it: it makes the same bit reads as Decode — header,
-// motion section, and every coefficient code — but skips dequantization,
-// the inverse transform, prediction, and the reference-slot update. Its
-// Info and its errors (text included) are exactly Decode's for the
-// decoder's current reference state, which Parse leaves untouched. This
-// is the codec-level information the anchor selector needs (§5.1), at
-// the cost of the entropy parse alone.
+// motion section, and every coefficient code, skipped without being
+// stored — but not dequantization, the inverse transform, prediction, or
+// the reference-slot update. Its Info and its errors (text included) are
+// exactly Decode's for the decoder's current reference state, which Parse
+// leaves untouched. This is the codec-level information the anchor
+// selector needs (§5.1), at the cost of the entropy parse alone.
 func (d *Decoder) Parse(data []byte) (Info, error) {
 	r := bitstream.NewReader(data)
 	info, err := d.parsePrefix(r, len(data))
@@ -203,16 +203,16 @@ func parseMotion(r *bitstream.Reader, n int) ([]frame.MotionVector, []uint8, err
 
 // skipCoeffs entropy-parses the coefficient blocks of a w×h frame's three
 // planes, in the order decodeIntraPlanes and decodeResidualWithCapture
-// read them, and discards them. kind names the block in errors ("intra"
-// or "residual"), so a failure reads exactly as the reconstructing
-// decoder's does.
+// read them, without storing them (bitstream.SkipCoeffs consumes and
+// rejects exactly what ReadCoeffs does). kind names the block in errors
+// ("intra" or "residual"), so a failure reads exactly as the
+// reconstructing decoder's does.
 func skipCoeffs(r *bitstream.Reader, w, h int, kind string) error {
-	var scan [64]int32
 	cw, ch := (w+1)/2, (h+1)/2
 	for _, p := range [3]frame.Plane{{W: w, H: h}, {W: cw, H: ch}, {W: cw, H: ch}} {
 		nbx, _, n := planeBlocks(&p)
 		for i := 0; i < n; i++ {
-			if err := bitstream.ReadCoeffs(r, scan[:]); err != nil {
+			if err := bitstream.SkipCoeffs(r, 64); err != nil {
 				bx, by := (i%nbx)*transform.BlockSize, (i/nbx)*transform.BlockSize
 				return fmt.Errorf("vcodec: %s block (%d,%d): %w", kind, bx, by, err)
 			}

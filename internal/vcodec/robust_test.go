@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"github.com/neuroscaler/neuroscaler/internal/bitstream"
+	"github.com/neuroscaler/neuroscaler/internal/par"
 	"github.com/neuroscaler/neuroscaler/internal/synth"
 )
 
@@ -140,5 +142,44 @@ func TestTinyDimensions(t *testing.T) {
 	}
 	if len(VisibleFrames(decoded)) != 6 {
 		t.Errorf("tiny stream decoded %d frames", len(VisibleFrames(decoded)))
+	}
+}
+
+// hugeRunKeyPacket is a 30-byte key packet whose first coefficient group
+// carries the largest run a 63-zero Exp-Golomb prefix can code, 2^64-2:
+// added to the block index unchecked, it wraps negative.
+func hugeRunKeyPacket() []byte {
+	var w bitstream.Writer
+	writeHeader(&w, Key, 50, 0)
+	w.WriteBit(1)
+	w.WriteUE(1<<64 - 2)
+	w.WriteSE(1)
+	data := w.Bytes()
+	for len(data) < 30 {
+		data = append(data, 0xFF)
+	}
+	return data
+}
+
+// TestHugeRunRejected: Parse and Decode, fused and two-phase, reject a
+// coefficient run past the block with the block's truncation error
+// instead of indexing out of range.
+func TestHugeRunRejected(t *testing.T) {
+	const want = "vcodec: intra block (0,0): bitstream: truncated"
+	data := hugeRunKeyPacket()
+	oldWorkers := par.Workers()
+	defer par.SetWorkers(oldWorkers)
+	for _, workers := range []int{1, 4} {
+		par.SetWorkers(workers)
+		d, err := NewDecoder(96, 64)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := d.Parse(data); err == nil || err.Error() != want {
+			t.Errorf("workers %d: Parse err = %v, want %q", workers, err, want)
+		}
+		if _, err := d.Decode(data); err == nil || err.Error() != want {
+			t.Errorf("workers %d: Decode err = %v, want %q", workers, err, want)
+		}
 	}
 }
